@@ -6,12 +6,13 @@
 //
 //	pqquery -addr 127.0.0.1:7171 interval -port 0 -start 1000000 -end 2000000
 //	pqquery -addr 127.0.0.1:7171 original -port 0 -queue 0 -at 1500000
-//	pqquery -addr 127.0.0.1:7171 -proto json interval -port 0 -start 0 -end 100
 //	pqquery -addr 127.0.0.1:7171 -batch < queries.txt
 //	pqquery -repeat 3 interval -port 0 -start 0 -end 1000   # cold-vs-warm latency
 //
-// By default pqquery speaks the binary multiplexed v2 wire protocol;
-// -proto json selects the newline-delimited JSON fallback.
+// pqquery speaks the binary multiplexed v2 wire protocol (MuxQueryClient).
+// The server also answers newline-delimited JSON, for use without pqquery:
+//
+//	echo '{"id":1,"kind":"interval","port":0,"start":0,"end":100}' | nc 127.0.0.1 7171
 //
 // With -batch, query lines are read from stdin — one query per line in the
 // same syntax as the command line ("interval -port 0 -start 5 -end 9" or
@@ -31,27 +32,18 @@ import (
 	"printqueue"
 )
 
-// queryClient is the part of the client surface pqquery uses, satisfied by
-// both printqueue.QueryClient (JSON) and printqueue.MuxQueryClient (binary).
-type queryClient interface {
-	Interval(port int, start, end uint64) (printqueue.Report, error)
-	Original(port, queue int, t uint64) (printqueue.Report, error)
-	Close() error
-}
-
 func main() {
 	log.SetFlags(0)
 	addr := flag.String("addr", "127.0.0.1:7171", "query service address")
 	top := flag.Int("top", 20, "flows to print")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-round-trip I/O deadline")
 	retries := flag.Int("retries", 2, "retries after a retryable failure (-1 to disable)")
-	proto := flag.String("proto", "binary", "wire protocol: binary or json")
-	batch := flag.Bool("batch", false, "read one query per line from stdin, send as one frame (binary only)")
+	batch := flag.Bool("batch", false, "read one query per line from stdin, send as one frame")
 	trace := flag.Bool("trace", false, "trace every query end to end and print the joined client+server span tree")
 	repeat := flag.Int("repeat", 1, "run the query N times, printing per-attempt latency (shows the server's cold-tier decode cost amortizing into its LRU)")
 	flag.Parse()
 	if flag.NArg() < 1 && !*batch {
-		log.Fatal("usage: pqquery [-addr host:port] [-proto binary|json] [-timeout 5s] [-retries 2] [-trace] interval|original [flags], or -batch < queries")
+		log.Fatal("usage: pqquery [-addr host:port] [-timeout 5s] [-retries 2] [-trace] [-repeat N] interval|original [flags], or -batch < queries")
 	}
 	if *retries == 0 {
 		*retries = -1 // flag 0 means "no retries"; the option's 0 means default
@@ -63,28 +55,14 @@ func main() {
 		opts.Tracer = tracer
 	}
 
-	var client queryClient
-	var mux *printqueue.MuxQueryClient
-	var err error
-	switch *proto {
-	case "binary":
-		mux, err = printqueue.DialQueriesMuxOpts(*addr, opts)
-		client = mux
-	case "json":
-		client, err = printqueue.DialQueriesOpts(*addr, opts)
-	default:
-		log.Fatalf("unknown -proto %q (want binary or json)", *proto)
-	}
+	client, err := printqueue.DialQueriesMuxOpts(*addr, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer client.Close()
 
 	if *batch {
-		if mux == nil {
-			log.Fatal("-batch requires -proto binary")
-		}
-		code := runBatch(mux, os.Stdin, *top)
+		code := runBatch(client, os.Stdin, *top)
 		client.Close()
 		printTraces(tracer)
 		os.Exit(code)
@@ -119,7 +97,7 @@ func printTraces(tracer *printqueue.Tracer) {
 }
 
 // runOne executes a single query given its kind and flag-style arguments.
-func runOne(client queryClient, kind string, args []string) (printqueue.Report, error) {
+func runOne(client *printqueue.MuxQueryClient, kind string, args []string) (printqueue.Report, error) {
 	q, err := parseQuery(kind, args)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"strconv"
@@ -59,13 +60,13 @@ func chaosFixture(t *testing.T, fcfg faultnet.Config, opts ServeOptions) (*NetSe
 	return srv, ts
 }
 
-// legacyRoundTrip does what the pre-fix client did: encode the request with
-// no id, read one line, and trust it blindly. It is kept in test form to
-// prove the desync bug it suffers from.
-func legacyRoundTrip(t *testing.T, conn net.Conn, br *bufio.Reader, req NetRequest, deadline time.Duration) (NetResponse, error) {
-	t.Helper()
+// jsonRoundTrip speaks the v1 JSON line protocol over a raw socket, the
+// way a netcat user does: encode one request line, read one response line,
+// and trust it. With req.ID zero it is exactly the pre-id client whose
+// desync bug TestChaosDesyncLegacyClient reproduces.
+func jsonRoundTrip(conn net.Conn, br *bufio.Reader, req NetRequest, deadline time.Duration) (NetResponse, error) {
 	if err := conn.SetDeadline(time.Now().Add(deadline)); err != nil {
-		t.Fatal(err)
+		return NetResponse{}, err
 	}
 	if err := json.NewEncoder(conn).Encode(req); err != nil {
 		return NetResponse{}, err
@@ -75,10 +76,71 @@ func legacyRoundTrip(t *testing.T, conn net.Conn, br *bufio.Reader, req NetReque
 		return NetResponse{}, err
 	}
 	var resp NetResponse
-	if err := json.Unmarshal(line, &resp); err != nil {
-		t.Fatal(err)
+	err = json.Unmarshal(line, &resp)
+	return resp, err
+}
+
+// errIDMismatch reports a JSON response whose id is not the request's: the
+// server answered some other query.
+var errIDMismatch = errors.New("response id does not match request id")
+
+// jsonSession is a raw-socket JSON user that reconnects: every request
+// carries a fresh id, and any failure drops the connection so the next
+// request dials a new one. Retrying is left to the caller.
+type jsonSession struct {
+	addr string
+	conn net.Conn
+	br   *bufio.Reader
+	id   uint64
+}
+
+// do sends req (its ID is assigned here) and returns the matching response.
+func (js *jsonSession) do(req NetRequest, deadline time.Duration) (NetResponse, error) {
+	if js.conn == nil {
+		conn, err := net.DialTimeout("tcp", js.addr, deadline)
+		if err != nil {
+			return NetResponse{}, err
+		}
+		js.conn, js.br = conn, bufio.NewReader(conn)
 	}
-	return resp, nil
+	js.id++
+	req.ID = js.id
+	resp, err := jsonRoundTrip(js.conn, js.br, req, deadline)
+	if err == nil && resp.ID != req.ID {
+		err = fmt.Errorf("%w: got %d, sent %d", errIDMismatch, resp.ID, req.ID)
+	}
+	if err != nil {
+		js.close()
+	}
+	return resp, err
+}
+
+// retry runs do up to attempts times, stopping at the first response.
+func (js *jsonSession) retry(req NetRequest, deadline time.Duration, attempts int) (NetResponse, error) {
+	var resp NetResponse
+	var err error
+	for i := 0; i < attempts; i++ {
+		if resp, err = js.do(req, deadline); err == nil || errors.Is(err, errIDMismatch) {
+			break
+		}
+	}
+	return resp, err
+}
+
+func (js *jsonSession) close() {
+	if js.conn != nil {
+		js.conn.Close()
+		js.conn = nil
+	}
+}
+
+// jsonTotal sums a JSON response's counts.
+func jsonTotal(resp NetResponse) float64 {
+	var total float64
+	for _, n := range resp.Counts {
+		total += n
+	}
+	return total
 }
 
 // TestChaosDesyncLegacyClient reproduces the framing-desync bug the id
@@ -98,7 +160,7 @@ func TestChaosDesyncLegacyClient(t *testing.T) {
 
 	// Query A covers the whole trace (~60 packets); its response write is
 	// delayed 300ms, so the 50ms read deadline expires first.
-	_, err = legacyRoundTrip(t, conn, br, NetRequest{Kind: "interval", Port: 0, Start: 1000, End: ts + 1}, 50*time.Millisecond)
+	_, err = jsonRoundTrip(conn, br, NetRequest{Kind: "interval", Port: 0, Start: 1000, End: ts + 1}, 50*time.Millisecond)
 	var ne net.Error
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Fatalf("query A error %v, want an I/O timeout", err)
@@ -106,15 +168,11 @@ func TestChaosDesyncLegacyClient(t *testing.T) {
 
 	// Query B covers an interval after the trace: the true answer is zero
 	// flows. The legacy client instead receives query A's stale response.
-	resp, err := legacyRoundTrip(t, conn, br, NetRequest{Kind: "interval", Port: 0, Start: ts + 100, End: ts + 200}, 2*time.Second)
+	resp, err := jsonRoundTrip(conn, br, NetRequest{Kind: "interval", Port: 0, Start: ts + 100, End: ts + 200}, 2*time.Second)
 	if err != nil {
 		t.Fatalf("query B: %v", err)
 	}
-	var total float64
-	for _, n := range resp.Counts {
-		total += n
-	}
-	if total < 50 {
+	if total := jsonTotal(resp); total < 50 {
 		// If this starts failing, the stale-response hazard is gone at the
 		// transport level and the legacy reproduction can be retired.
 		t.Fatalf("legacy client read %v packets for the empty interval; expected the stale ~60-packet response (bug reproduction)", total)
@@ -122,15 +180,16 @@ func TestChaosDesyncLegacyClient(t *testing.T) {
 }
 
 // TestChaosDesyncFixedClient is the same mid-read-timeout injection against
-// the fixed client: the timed-out connection is poisoned, the retry redials,
-// and the second query returns its own (empty) result — never query A's.
+// the id-matching client: the timed-out connection is poisoned, the retry
+// redials, and the second query returns its own (empty) result — never
+// query A's.
 func TestChaosDesyncFixedClient(t *testing.T) {
 	srv, ts := chaosFixture(t, faultnet.Config{
 		Seed: chaosSeed(t), WriteLatency: 300 * time.Millisecond, SlowWrites: 1,
 	}, ServeOptions{})
 
 	reg := telemetry.NewRegistry()
-	c, err := DialOpts(srv.Addr().String(), DialOptions{
+	c, err := DialMuxOpts(srv.Addr().String(), DialOptions{
 		Timeout:     50 * time.Millisecond,
 		MaxRetries:  4,
 		BackoffBase: time.Millisecond,
@@ -187,36 +246,31 @@ func TestChaosDesyncFixedClient(t *testing.T) {
 	}
 }
 
-// TestChaosReconnectAfterIdleClose covers the server's idle deadline and
-// the client's redial: the server reclaims an idle connection, and the
-// client's next query transparently reconnects.
+// TestChaosReconnectAfterIdleClose covers the server's idle deadline on a
+// JSON connection: the server reclaims the idle connection, the next
+// request on it fails, and a fresh connection is served normally.
 func TestChaosReconnectAfterIdleClose(t *testing.T) {
 	srv, ts := chaosFixture(t, faultnet.Config{}, ServeOptions{IdleTimeout: 50 * time.Millisecond})
-	c, err := DialOpts(srv.Addr().String(), DialOptions{
-		Timeout: time.Second, MaxRetries: 2, BackoffBase: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	js := &jsonSession{addr: srv.Addr().String()}
+	defer js.close()
+	full := NetRequest{Kind: "interval", Port: 0, Start: 1000, End: ts + 1}
 
-	if _, err := c.Interval(0, 1000, ts+1); err != nil {
+	if _, err := js.do(full, time.Second); err != nil {
 		t.Fatalf("first query: %v", err)
 	}
 	time.Sleep(300 * time.Millisecond) // server idle deadline reclaims the conn
-	counts, err := c.Interval(0, 1000, ts+1)
+	if _, err := js.do(full, time.Second); err == nil {
+		t.Fatal("query on a connection idle past the server's deadline succeeded")
+	}
+	resp, err := js.do(full, time.Second) // redials
 	if err != nil {
-		t.Fatalf("query after idle close: %v", err)
+		t.Fatalf("query on a fresh connection: %v", err)
 	}
-	var total float64
-	for _, n := range counts {
-		total += n
-	}
-	if total < 50 || total > 70 {
+	if total := jsonTotal(resp); total < 50 || total > 70 {
 		t.Fatalf("post-reconnect total %v, want ~60", total)
 	}
-	if c.Reconnects() == 0 {
-		t.Error("no reconnect recorded after the server closed the idle connection")
+	if got := srv.connections.Load(); got != 2 {
+		t.Errorf("connections = %d, want 2 (the original and the redial)", got)
 	}
 }
 
@@ -225,12 +279,9 @@ func TestChaosReconnectAfterIdleClose(t *testing.T) {
 // loop retries through them and keeps serving.
 func TestChaosAcceptRetry(t *testing.T) {
 	srv, ts := chaosFixture(t, faultnet.Config{AcceptFailures: 3}, ServeOptions{})
-	c, err := Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Interval(0, 1000, ts+1); err != nil {
+	js := &jsonSession{addr: srv.Addr().String()}
+	defer js.close()
+	if _, err := js.do(NetRequest{Kind: "interval", Port: 0, Start: 1000, End: ts + 1}, 5*time.Second); err != nil {
 		t.Fatalf("query through a listener that survived accept failures: %v", err)
 	}
 	if got := srv.acceptRetries.Load(); got != 3 {
@@ -238,54 +289,46 @@ func TestChaosAcceptRetry(t *testing.T) {
 	}
 }
 
-// TestChaosShedOverload drives the load-shedding bound: with the backlog
-// artificially saturated the server answers {"error":"overloaded"}
-// immediately, a non-retrying client surfaces ErrOverloaded, and a retrying
-// client rides through once capacity frees up — without reconnecting, since
-// an overload reply leaves the framing intact.
+// TestChaosShedOverload drives the load-shedding bound on the JSON
+// protocol: with the backlog artificially saturated the server answers
+// {"id":N,"error":"overloaded"} immediately, and the same connection is
+// served normally once capacity frees up, since an overload reply leaves
+// the line framing intact.
 func TestChaosShedOverload(t *testing.T) {
 	srv, ts := chaosFixture(t, faultnet.Config{}, ServeOptions{ShedLimit: 1})
+	js := &jsonSession{addr: srv.Addr().String()}
+	defer js.close()
+	full := NetRequest{Kind: "interval", Port: 0, Start: 1000, End: ts + 1}
 
 	srv.inflight.Add(1) // saturate the backlog
-	c, err := DialOpts(srv.Addr().String(), DialOptions{Timeout: time.Second, MaxRetries: -1})
+	resp, err := js.do(full, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if _, err := c.Interval(0, 1000, ts+1); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("saturated server returned %v, want ErrOverloaded", err)
+	if resp.Error != ErrOverloaded.Error() || resp.Counts != nil {
+		t.Fatalf("saturated server replied %+v, want an overloaded error", resp)
 	}
 	if got := srv.shed.Load(); got != 1 {
 		t.Errorf("shed counter = %d, want 1", got)
 	}
 
-	// A retrying client backs off and succeeds once the backlog drains.
-	rc, err := DialOpts(srv.Addr().String(), DialOptions{
-		Timeout: time.Second, MaxRetries: 3, BackoffBase: 50 * time.Millisecond,
-	})
+	srv.inflight.Add(-1)
+	resp, err = js.do(full, time.Second)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("query after the backlog drained: %v", err)
 	}
-	defer rc.Close()
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		srv.inflight.Add(-1)
-	}()
-	if _, err := rc.Interval(0, 1000, ts+1); err != nil {
-		t.Fatalf("retrying client did not ride through the overload: %v", err)
+	if resp.Error != "" || jsonTotal(resp) < 50 {
+		t.Fatalf("query after the backlog drained: %+v, want ~60 packets", resp)
 	}
-	if rc.Retries() == 0 {
-		t.Error("no retry recorded across the overload window")
-	}
-	if rc.Reconnects() != 0 {
-		t.Errorf("overload reply caused %d reconnects; the connection should have been reused", rc.Reconnects())
+	if got := srv.connections.Load(); got != 1 {
+		t.Errorf("overload reply cost a connection: %d accepted, want 1", got)
 	}
 }
 
-// TestChaosFaultMatrix runs the retrying client against each fault family
-// with a fixed seed. Chaos may cost round trips (errors after the budget),
-// but a successful query must NEVER return another query's data — the
-// correctness property the id protocol guarantees.
+// TestChaosFaultMatrix runs a reconnecting JSON user against each fault
+// family with a fixed seed. Chaos may cost round trips (errors after the
+// attempt budget), but a response must NEVER carry another request's id
+// or another query's data.
 func TestChaosFaultMatrix(t *testing.T) {
 	seed := chaosSeed(t)
 	cases := []struct {
@@ -300,38 +343,27 @@ func TestChaosFaultMatrix(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, ts := chaosFixture(t, tc.fcfg, ServeOptions{})
-			c, err := DialOpts(srv.Addr().String(), DialOptions{
-				Timeout:     100 * time.Millisecond,
-				MaxRetries:  8,
-				BackoffBase: time.Millisecond,
-				BackoffMax:  10 * time.Millisecond,
-				Seed:        seed,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+			js := &jsonSession{addr: srv.Addr().String()}
+			defer js.close()
 
 			successes := 0
 			for i := 0; i < 20; i++ {
 				// Alternate a full-trace query with an empty-interval one so
 				// a stale response would be caught as a wrong total.
-				var counts map[string]float64
-				var err error
 				wantFull := i%2 == 0
+				req := NetRequest{Kind: "interval", Port: 0, Start: ts + 100, End: ts + 200}
 				if wantFull {
-					counts, err = c.Interval(0, 1000, ts+1)
-				} else {
-					counts, err = c.Interval(0, ts+100, ts+200)
+					req.Start, req.End = 1000, ts+1
+				}
+				resp, err := js.retry(req, 100*time.Millisecond, 9)
+				if errors.Is(err, errIDMismatch) {
+					t.Fatalf("query %d: %v", i, err)
 				}
 				if err != nil {
 					continue // chaos may exhaust the budget; wrong data may not
 				}
 				successes++
-				var total float64
-				for _, n := range counts {
-					total += n
-				}
+				total := jsonTotal(resp)
 				if wantFull && (total < 50 || total > 70) {
 					t.Fatalf("query %d: total %v, want ~60 (mismatched response?)", i, total)
 				}
@@ -340,17 +372,16 @@ func TestChaosFaultMatrix(t *testing.T) {
 				}
 			}
 			if successes < 15 {
-				t.Fatalf("only %d/20 queries succeeded under %s with an 8-retry budget", successes, tc.name)
+				t.Fatalf("only %d/20 queries succeeded under %s with a 9-attempt budget", successes, tc.name)
 			}
-			t.Logf("%s: %d/20 ok, timeouts=%d retries=%d reconnects=%d",
-				tc.name, successes, c.Timeouts(), c.Retries(), c.Reconnects())
+			t.Logf("%s: %d/20 ok, connections=%d", tc.name, successes, srv.connections.Load())
 		})
 	}
 }
 
-// TestChaosConcurrentClientsUnderFaults hammers the server from several
-// goroutines while writes drop, under -race: every successful answer must
-// be the right one for the interval asked.
+// TestChaosConcurrentClientsUnderFaults hammers the JSON server from
+// several goroutines while writes drop, under -race: every answer must be
+// the right one for the interval asked.
 func TestChaosConcurrentClientsUnderFaults(t *testing.T) {
 	srv, ts := chaosFixture(t, faultnet.Config{Seed: chaosSeed(t), DropWrite: 0.15}, ServeOptions{})
 	var wg sync.WaitGroup
@@ -358,33 +389,23 @@ func TestChaosConcurrentClientsUnderFaults(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := DialOpts(srv.Addr().String(), DialOptions{
-				Timeout:     100 * time.Millisecond,
-				MaxRetries:  8,
-				BackoffBase: time.Millisecond,
-				Seed:        int64(g + 1),
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
+			js := &jsonSession{addr: srv.Addr().String()}
+			defer js.close()
 			for i := 0; i < 10; i++ {
 				full := (g+i)%2 == 0
-				var counts map[string]float64
-				var err error
+				req := NetRequest{Kind: "interval", Port: 0, Start: ts + 100, End: ts + 200}
 				if full {
-					counts, err = c.Interval(0, 1000, ts+1)
-				} else {
-					counts, err = c.Interval(0, ts+100, ts+200)
+					req.Start, req.End = 1000, ts+1
+				}
+				resp, err := js.retry(req, 100*time.Millisecond, 9)
+				if errors.Is(err, errIDMismatch) {
+					t.Errorf("client %d query %d: %v", g, i, err)
+					return
 				}
 				if err != nil {
 					continue
 				}
-				var total float64
-				for _, n := range counts {
-					total += n
-				}
+				total := jsonTotal(resp)
 				if full && (total < 50 || total > 70) {
 					t.Errorf("client %d query %d: total %v, want ~60", g, i, total)
 				}

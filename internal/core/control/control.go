@@ -59,26 +59,7 @@ type Config struct {
 	// durable segment log, and interval queries that reach past the in-RAM
 	// (hot) tier are answered from the log's cold tier. See histstore.
 	History *histstore.Options
-	// QueryPath selects the interval-query implementation. The default
-	// (QueryPathIndexed) prunes the checkpoint run by coverage and
-	// binary-searches each checkpoint's sorted cell index; QueryPathScan is
-	// the reference linear scan retained for ablation and differential
-	// testing. Results are bit-identical between the two.
-	QueryPath QueryPath
 }
-
-// QueryPath selects how interval queries walk the checkpoint history.
-type QueryPath int
-
-const (
-	// QueryPathIndexed binary-searches the overlapping checkpoint run and,
-	// within each checkpoint, the overlapping cell range per window.
-	QueryPathIndexed QueryPath = iota
-	// QueryPathScan visits every cell of every window of every retained
-	// checkpoint — the pre-index behavior, kept as the reference
-	// implementation.
-	QueryPathScan
-)
 
 func (c *Config) normalize() error {
 	if err := c.TW.Validate(); err != nil {
@@ -283,7 +264,7 @@ func (qc *queryPathCounters) register(reg *telemetry.Registry) {
 	qc.checkpointsPruned = reg.Counter("printqueue_query_checkpoints_pruned_total",
 		"Checkpoints skipped by the coverage binary search without being touched.")
 	qc.cellsVisited = reg.Counter("printqueue_query_cells_visited_total",
-		"Time-window cells visited by interval queries (index hits, or full walks on the scan path).")
+		"Time-window cells visited by interval queries (cell-index hits).")
 	qc.indexBuildNs = reg.Histogram("printqueue_query_index_build_ns",
 		"One-time cost of filtering a checkpoint and building its sorted cell index.",
 		telemetry.LatencyBuckets)
@@ -975,8 +956,8 @@ func (s *System) QueryInterval(port int, start, end uint64) (flow.Counts, error)
 // contiguous shards accumulated concurrently and merged in shard order.
 // Shards that cannot acquire a slot run inline on the caller, so fan-out
 // never blocks on a busy pool. Because the shards produce exact integer
-// accumulators, the result is bit-identical to the serial (and scan) path
-// for any sharding. tr (nil = untraced) collects per-stage spans: one
+// accumulators, the result is bit-identical to the serial path for any
+// sharding. tr (nil = untraced) collects per-stage spans: one
 // "server.shard" span per fan-out chunk (recorded concurrently by the
 // workers) and a "server.merge" span for the shard merge, or a single
 // "server.accumulate" span on the serial path.
@@ -987,28 +968,6 @@ func (s *System) queryIntervalSharded(port int, start, end uint64, sem chan stru
 	}
 	if end <= start {
 		return nil, fmt.Errorf("control: empty query interval [%d, %d)", start, end)
-	}
-	if s.cfg.QueryPath == QueryPathScan {
-		// The scan path walks the whole hot history linearly, but the cold
-		// tier still serves the part of the interval below the oldest
-		// retained checkpoint — otherwise a bounded hot tier would silently
-		// shrink scan answers and break the documented bit-identity with
-		// the indexed path.
-		sp := tr.StartSpan("server.accumulate", tracing.SrcServer)
-		cps := ps.snapshotCheckpoints()
-		hotStart := ^uint64(0)
-		if len(cps) > 0 {
-			hotStart = cps[0].PrevFreeze
-		}
-		cold, coldEnd := s.coldRun(port, start, end, hotStart)
-		acc := timewindow.NewAccumulator(s.cfg.TW.T, s.twCoeff)
-		s.qpath.checkpointsScanned.Add(int64(len(cps)))
-		visited := accumulateRun(acc, cps, start, end, true)
-		visited += accumulateCold(acc, cold, start, coldEnd)
-		s.qpath.cellsVisited.Add(int64(visited))
-		counts := acc.Counts()
-		sp.End()
-		return counts, nil
 	}
 	run, histLen, hotStart := ps.snapshotRun(start, end)
 	s.qpath.checkpointsPruned.Add(int64(histLen - len(run)))
@@ -1028,7 +987,7 @@ func (s *System) queryIntervalSharded(port int, start, end uint64, sem chan stru
 	if len(run) < parallelMinRun || shards < 2 {
 		sp := tr.StartSpan("server.accumulate", tracing.SrcServer)
 		acc := timewindow.NewAccumulator(s.cfg.TW.T, s.twCoeff)
-		visited := accumulateRun(acc, run, start, end, false)
+		visited := accumulateRun(acc, run, start, end)
 		visited += accumulateCold(acc, cold, start, coldEnd)
 		s.qpath.cellsVisited.Add(int64(visited))
 		counts := acc.Counts()
@@ -1044,7 +1003,7 @@ func (s *System) queryIntervalSharded(port int, start, end uint64, sem chan stru
 		work := func(c int, chunk []*Checkpoint) {
 			sp := tr.StartSpan("server.shard", tracing.SrcServer)
 			acc := timewindow.NewAccumulator(s.cfg.TW.T, s.twCoeff)
-			cells[c] = accumulateRun(acc, chunk, start, end, false)
+			cells[c] = accumulateRun(acc, chunk, start, end)
 			accs[c] = acc
 			sp.End()
 		}
@@ -1096,25 +1055,20 @@ const parallelMinRun = 8
 // because [a] packet at any time point would belong to only one register
 // set" (§6.2). PrevFreeze chaining keeps the coverages disjoint.
 //
-// On the default indexed path the disjoint, sorted coverages are
-// binary-searched for the overlapping run; the scan path walks the whole
-// history. The two are bit-identical (shared integer accumulator).
+// The disjoint, sorted coverages are binary-searched for the overlapping
+// run, and each checkpoint's cell index for the overlapping cells.
 func (s *System) queryCheckpoints(cps []*Checkpoint, start, end uint64) flow.Counts {
 	acc := timewindow.NewAccumulator(s.cfg.TW.T, s.twCoeff)
-	run := cps
-	scan := s.cfg.QueryPath == QueryPathScan
-	if !scan {
-		run = pruneCheckpoints(cps, start, end)
-		s.qpath.checkpointsPruned.Add(int64(len(cps) - len(run)))
-	}
+	run := pruneCheckpoints(cps, start, end)
+	s.qpath.checkpointsPruned.Add(int64(len(cps) - len(run)))
 	s.qpath.checkpointsScanned.Add(int64(len(run)))
-	s.qpath.cellsVisited.Add(int64(accumulateRun(acc, run, start, end, scan)))
+	s.qpath.cellsVisited.Add(int64(accumulateRun(acc, run, start, end)))
 	return acc.Counts()
 }
 
 // accumulateRun folds a checkpoint run's clamped coverages into acc,
 // returning the cells visited.
-func accumulateRun(acc *timewindow.Accumulator, run []*Checkpoint, start, end uint64, scan bool) int {
+func accumulateRun(acc *timewindow.Accumulator, run []*Checkpoint, start, end uint64) int {
 	visited := 0
 	for _, cp := range run {
 		lo, hi := start, end
@@ -1127,11 +1081,7 @@ func accumulateRun(acc *timewindow.Accumulator, run []*Checkpoint, start, end ui
 		if hi <= lo {
 			continue
 		}
-		if scan {
-			visited += cp.Filtered().AccumulateScanInto(acc, lo, hi)
-		} else {
-			visited += cp.Filtered().AccumulateInto(acc, lo, hi)
-		}
+		visited += cp.Filtered().AccumulateInto(acc, lo, hi)
 	}
 	return visited
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -805,407 +804,4 @@ func (s *NetServer) executeWire(q BatchQuery, tr *tracing.Trace) NetResponse {
 		return NetResponse{Error: res.Err.Error()}
 	}
 	return NetResponse{Counts: res.Counts}
-}
-
-// Client-side resilience defaults. Queries are read-only and idempotent, so
-// retrying a failed round trip — on the same connection after an overload
-// reply, or on a fresh one after an I/O error — is always safe.
-const (
-	// DefaultDialTimeout is the per-round-trip I/O deadline applied when
-	// DialOptions.Timeout is zero: long enough for any real query, short
-	// enough that a hung QueryService cannot block a diagnosis forever.
-	DefaultDialTimeout = 5 * time.Second
-	// DefaultMaxRetries is how many additional attempts a round trip makes
-	// after a retryable failure.
-	DefaultMaxRetries = 2
-	// DefaultBackoffBase is the first retry's backoff; it doubles per
-	// retry (with jitter) up to DefaultBackoffMax.
-	DefaultBackoffBase = 20 * time.Millisecond
-	// DefaultBackoffMax caps the exponential backoff between retries.
-	DefaultBackoffMax = time.Second
-)
-
-// DialOptions tunes a QueryClient connection.
-type DialOptions struct {
-	// Timeout is the I/O deadline applied to each round-trip attempt
-	// (write + read). 0 means DefaultDialTimeout; negative disables
-	// deadlines.
-	Timeout time.Duration
-	// MaxRetries is the retry budget per round trip: after the first
-	// attempt fails with a retryable error (I/O error, desync, overload),
-	// up to MaxRetries further attempts are made, redialing if the
-	// connection was poisoned. 0 means DefaultMaxRetries; negative
-	// disables retries.
-	MaxRetries int
-	// BackoffBase is the backoff before the first retry, doubling per
-	// subsequent retry with jitter in [d/2, d]. 0 means
-	// DefaultBackoffBase; negative disables backoff waits.
-	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff. 0 means DefaultBackoffMax;
-	// a value below BackoffBase (including negative) is clamped up to
-	// BackoffBase, so the cap can never invert the backoff window.
-	BackoffMax time.Duration
-	// Seed seeds the jitter PRNG so chaos tests are reproducible. 0 means
-	// a fixed default seed (the client's behavior is deterministic for a
-	// given fault sequence).
-	Seed int64
-	// Dialer, if non-nil, replaces net.DialTimeout for the initial dial
-	// and every reconnect — the hook fault-injection harnesses use.
-	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
-	// Timeouts, Retries, and Reconnects, if non-nil, are incremented for
-	// every round-trip I/O timeout, retry attempt, and successful redial
-	// respectively — wire them to a telemetry registry's
-	// printqueue_query_client_{timeouts,retries,reconnects}_total to fold
-	// client-side resilience into the query metrics. The client also
-	// counts internally; see QueryClient.Timeouts/Retries/Reconnects.
-	Timeouts   *telemetry.Counter
-	Retries    *telemetry.Counter
-	Reconnects *telemetry.Counter
-	// Tracer, if non-nil, traces round trips: sampled queries carry
-	// their trace id on the wire and absorb the server's stage spans
-	// into one joined trace; unsampled queries still feed the tracer's
-	// always-on slowlog. nil (the default) keeps tracing entirely off
-	// the hot path.
-	Tracer *tracing.Tracer
-}
-
-// errDesync marks a response that could not be matched to its request (a
-// mismatched id or an undecodable line). The connection is poisoned — its
-// buffered bytes can no longer be trusted — and the attempt is retried on a
-// fresh connection, which is safe because queries are idempotent.
-var errDesync = errors.New("control: query response desynchronized from request")
-
-// QueryClient is a client for the NetServer protocol.
-//
-// Every request carries a monotonically increasing id that the server
-// echoes; a response whose id does not match the in-flight request is never
-// returned to the caller. After any I/O error the connection is poisoned
-// and closed — its buffered bytes could belong to an abandoned round trip —
-// and the next attempt redials. This fixes the classic framing-desync bug
-// where a timed-out read left the previous query's response in the buffer
-// to be returned as the answer to the next query.
-type QueryClient struct {
-	addr        string
-	timeout     time.Duration
-	maxRetries  int
-	backoffBase time.Duration
-	backoffMax  time.Duration
-	dialer      func(addr string, timeout time.Duration) (net.Conn, error)
-
-	closed atomic.Bool
-
-	// mu serializes round trips: one request/response exchange owns the
-	// connection (and retry loop) at a time.
-	mu   sync.Mutex
-	conn net.Conn
-	// br and wbuf persist across redials: adopt resets the reader onto the
-	// new connection and the encode buffer is reused in place, so a
-	// flapping connection no longer allocates a fresh bufio.Reader +
-	// json.Encoder pair per redial while the old pair's buffers linger.
-	br     *bufio.Reader
-	wbuf   []byte
-	broken bool
-	lastID uint64
-	jit    *jitterSource
-	sleep  func(time.Duration) // test hook; time.Sleep
-
-	timeouts, retries, reconnects      atomic.Int64
-	timeoutCtr, retryCtr, reconnectCtr *telemetry.Counter
-
-	tracer *tracing.Tracer
-}
-
-// Dial connects to a NetServer with default options.
-func Dial(addr string) (*QueryClient, error) {
-	return DialOpts(addr, DialOptions{})
-}
-
-// resolved applies the option defaults shared by the JSON QueryClient and
-// the binary MuxClient.
-func (o DialOptions) resolved() (timeout time.Duration, maxRetries int, backoffBase, backoffMax time.Duration, seed int64, dialer func(string, time.Duration) (net.Conn, error)) {
-	timeout = o.Timeout
-	if timeout == 0 {
-		timeout = DefaultDialTimeout
-	}
-	maxRetries = o.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = DefaultMaxRetries
-	} else if maxRetries < 0 {
-		maxRetries = 0
-	}
-	backoffBase = o.BackoffBase
-	if backoffBase == 0 {
-		backoffBase = DefaultBackoffBase
-	} else if backoffBase < 0 {
-		backoffBase = 0
-	}
-	backoffMax = o.BackoffMax
-	if backoffMax == 0 {
-		backoffMax = DefaultBackoffMax
-	}
-	seed = o.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	dialer = o.Dialer
-	if dialer == nil {
-		dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
-	return
-}
-
-// DialOpts connects to a NetServer with explicit options. The initial dial
-// is not retried (so a misconfigured address fails fast); the retry budget
-// applies to round trips.
-func DialOpts(addr string, opts DialOptions) (*QueryClient, error) {
-	timeout, maxRetries, backoffBase, backoffMax, seed, dialer := opts.resolved()
-	c := &QueryClient{
-		addr:         addr,
-		timeout:      timeout,
-		maxRetries:   maxRetries,
-		backoffBase:  backoffBase,
-		backoffMax:   backoffMax,
-		dialer:       dialer,
-		jit:          newJitterSource(seed),
-		sleep:        time.Sleep,
-		timeoutCtr:   opts.Timeouts,
-		retryCtr:     opts.Retries,
-		reconnectCtr: opts.Reconnects,
-		tracer:       opts.Tracer,
-	}
-	conn, err := dialer(addr, max(timeout, 0))
-	if err != nil {
-		return nil, err
-	}
-	c.adopt(conn)
-	return c, nil
-}
-
-// adopt installs a fresh connection (caller holds mu, or the client is not
-// yet shared), reusing the previous connection's read buffer.
-func (c *QueryClient) adopt(conn net.Conn) {
-	c.conn = conn
-	if c.br == nil {
-		c.br = bufio.NewReaderSize(conn, 4096)
-	} else {
-		c.br.Reset(conn)
-	}
-	c.broken = false
-}
-
-// Close closes the connection. Subsequent round trips fail with
-// net.ErrClosed instead of redialing.
-func (c *QueryClient) Close() error {
-	c.closed.Store(true)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
-}
-
-// Timeouts returns how many round-trip attempts have failed with an I/O
-// timeout.
-func (c *QueryClient) Timeouts() int64 { return c.timeouts.Load() }
-
-// Retries returns how many round-trip attempts were retries of a failed
-// attempt.
-func (c *QueryClient) Retries() int64 { return c.retries.Load() }
-
-// Reconnects returns how many times the client redialed after poisoning a
-// connection.
-func (c *QueryClient) Reconnects() int64 { return c.reconnects.Load() }
-
-// roundTrip performs one logical query, with retries and (when a tracer
-// is configured) end-to-end tracing: sampled queries get a client trace
-// whose id travels on the wire, and every trace — including ones whose
-// round trips fail permanently — is orphan-closed here. Unsampled
-// queries feed the tracer's always-on slowlog.
-func (c *QueryClient) roundTrip(req NetRequest) (map[string]float64, error) {
-	if c.tracer == nil {
-		return c.roundTripTraced(req, nil)
-	}
-	t0 := time.Now()
-	tr := c.tracer.Start(req.Kind)
-	req.Trace = tr.ID() // 0 when unsampled: the wire stays trace-free
-	counts, err := c.roundTripTraced(req, tr)
-	if tr != nil {
-		tr.FinishErr(err)
-	} else {
-		c.tracer.MaybeSlow(req.Kind, t0, time.Since(t0), err)
-	}
-	return counts, err
-}
-
-func (c *QueryClient) roundTripTraced(req NetRequest, tr *tracing.Trace) (map[string]float64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt <= c.maxRetries; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-			if c.retryCtr != nil {
-				c.retryCtr.Inc()
-			}
-			if d := c.backoff(attempt); d > 0 {
-				c.sleep(d)
-			}
-		}
-		if c.closed.Load() {
-			return nil, net.ErrClosed
-		}
-		if c.conn == nil || c.broken {
-			if err := c.redialLocked(); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		counts, err := c.attempt(req, tr)
-		if err == nil {
-			return counts, nil
-		}
-		lastErr = err
-		if !retryable(err) {
-			return nil, err
-		}
-	}
-	return nil, lastErr
-}
-
-// attempt performs one request/response exchange on the live connection.
-// Any failure that leaves the connection's framing untrustworthy poisons it.
-func (c *QueryClient) attempt(req NetRequest, tr *tracing.Trace) (map[string]float64, error) {
-	c.lastID++
-	req.ID = c.lastID
-	if c.timeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-			c.poison()
-			return nil, err
-		}
-	}
-	spE := tr.StartSpan("client.encode", tracing.SrcClient)
-	c.wbuf = appendJSONRequest(c.wbuf[:0], req)
-	c.wbuf = append(c.wbuf, '\n')
-	spE.End()
-	spW := tr.StartSpan("client.write", tracing.SrcClient)
-	if _, err := c.conn.Write(c.wbuf); err != nil {
-		c.poison()
-		return nil, c.noteTimeout(err)
-	}
-	spW.End()
-	spA := tr.StartSpan("client.await", tracing.SrcClient)
-	for {
-		line, err := c.br.ReadBytes('\n')
-		if err != nil {
-			c.poison()
-			return nil, c.noteTimeout(err)
-		}
-		var resp NetResponse
-		if err := json.Unmarshal(line, &resp); err != nil {
-			c.poison()
-			return nil, fmt.Errorf("%w: undecodable response: %v", errDesync, err)
-		}
-		if resp.ID != 0 && resp.ID < req.ID {
-			// A late response to a round trip this client already
-			// abandoned: discard it and keep reading. (Poisoning on
-			// error makes this rare — it needs an error path that left
-			// the connection alive — but ids make it harmless.)
-			continue
-		}
-		if resp.ID != 0 && resp.ID != req.ID {
-			c.poison()
-			return nil, fmt.Errorf("%w: response id %d for request id %d", errDesync, resp.ID, req.ID)
-		}
-		spA.End()
-		tr.AddSpans(resp.Spans)
-		if resp.Error != "" {
-			if resp.Error == ErrOverloaded.Error() {
-				return nil, ErrOverloaded
-			}
-			return nil, errors.New(resp.Error)
-		}
-		if resp.Counts == nil {
-			// An empty result omits "counts" on the wire; normalize so
-			// callers can distinguish "no culprits" from a zero value.
-			resp.Counts = make(map[string]float64)
-		}
-		return resp.Counts, nil
-	}
-}
-
-// poison marks the connection unusable and closes it: after any I/O error
-// its buffered bytes may belong to an abandoned round trip.
-func (c *QueryClient) poison() {
-	c.broken = true
-	if c.conn != nil {
-		c.conn.Close()
-	}
-}
-
-// redialLocked replaces a poisoned (or never-established) connection.
-func (c *QueryClient) redialLocked() error {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	conn, err := c.dialer(c.addr, max(c.timeout, 0))
-	if err != nil {
-		return err
-	}
-	c.adopt(conn)
-	c.reconnects.Add(1)
-	if c.reconnectCtr != nil {
-		c.reconnectCtr.Inc()
-	}
-	return nil
-}
-
-// backoff returns the jittered exponential backoff before retry attempt n
-// (n >= 1): base doubled per retry, capped at backoffMax with a
-// shift clamp so the doubling can never overflow, jittered uniformly in
-// [d/2, d]. See backoffDur.
-func (c *QueryClient) backoff(attempt int) time.Duration {
-	return backoffDur(c.backoffBase, c.backoffMax, attempt, c.jit)
-}
-
-// retryable reports whether a round-trip failure may be retried. Transport
-// failures and desyncs are retried on a fresh connection; an overload reply
-// is retried after backoff on the same connection. Application-level errors
-// (unknown port, empty interval, ...) are returned to the caller as-is.
-func retryable(err error) bool {
-	if errors.Is(err, ErrOverloaded) || errors.Is(err, errDesync) {
-		return true
-	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
-}
-
-// noteTimeout counts err if it is an I/O timeout, and passes it through.
-func (c *QueryClient) noteTimeout(err error) error {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		c.timeouts.Add(1)
-		if c.timeoutCtr != nil {
-			c.timeoutCtr.Inc()
-		}
-	}
-	return err
-}
-
-// Interval queries per-flow packet counts over [start, end) on a port.
-func (c *QueryClient) Interval(port int, start, end uint64) (map[string]float64, error) {
-	return c.roundTrip(NetRequest{Kind: "interval", Port: port, Start: start, End: end})
-}
-
-// Original queries the original culprits at time t on a port/queue.
-func (c *QueryClient) Original(port, queue int, t uint64) (map[string]float64, error) {
-	return c.roundTrip(NetRequest{Kind: "original", Port: port, Queue: queue, At: t})
 }

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"bufio"
 	"net"
 	"sync"
 	"testing"
@@ -134,19 +135,25 @@ func reportQPS(b *testing.B) {
 }
 
 // BenchmarkNetQueryJSON is the baseline: one JSON-line query per round
-// trip, strictly sequential on one connection.
+// trip over a raw socket, strictly sequential on one connection.
 func BenchmarkNetQueryJSON(b *testing.B) {
 	srv := benchNetFixture(b)
-	c, err := DialOpts(srv.Addr().String(), benchDialOpts())
+	conn, err := delayDialer(benchRTT/2)(srv.Addr().String(), time.Second)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer c.Close()
+	defer conn.Close()
+	br := bufio.NewReader(conn)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Interval(0, 1000, 1050); err != nil {
+		req := NetRequest{ID: uint64(i + 1), Kind: "interval", Port: 0, Start: 1000, End: 1050}
+		resp, err := jsonRoundTrip(conn, br, req, 30*time.Second)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if resp.ID != req.ID || resp.Error != "" {
+			b.Fatalf("reply %+v to request %d", resp, req.ID)
 		}
 	}
 	b.StopTimer()

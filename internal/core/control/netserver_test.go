@@ -32,54 +32,113 @@ func netFixture(t *testing.T) (*NetServer, uint64) {
 	return srv, ts
 }
 
+// TestNetServerRoundTrip speaks the JSON line protocol over a raw socket:
+// answers echo the request id, an empty interval omits "counts", and
+// query errors come back as {"error":...} on a connection that keeps
+// serving.
 func TestNetServerRoundTrip(t *testing.T) {
 	srv, ts := netFixture(t)
-	client, err := Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	counts, err := client.Interval(0, 1000, ts+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	for _, n := range counts {
-		total += n
-	}
-	if total < 50 || total > 70 {
-		t.Fatalf("remote interval total %v, want ~60", total)
+	js := &jsonSession{addr: srv.Addr().String()}
+	defer js.close()
+	do := func(req NetRequest) NetResponse {
+		t.Helper()
+		resp, err := js.do(req, 5*time.Second)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		return resp
 	}
 
-	orig, err := client.Original(0, 0, ts)
-	if err != nil {
-		t.Fatal(err)
+	full := do(NetRequest{Kind: "interval", Port: 0, Start: 1000, End: ts + 1})
+	if total := jsonTotal(full); full.Error != "" || total < 50 || total > 70 {
+		t.Fatalf("remote interval %+v, want ~60 packets", full)
 	}
-	if len(orig) == 0 {
-		t.Fatal("remote original query returned nothing")
+	if orig := do(NetRequest{Kind: "original", Port: 0, At: ts}); orig.Error != "" || len(orig.Counts) == 0 {
+		t.Fatalf("remote original query returned %+v", orig)
 	}
-
-	// An interval with no traffic must come back as a non-nil empty map, so
-	// callers can distinguish "no culprits" from a failed query.
-	empty, err := client.Interval(0, ts+100, ts+200)
-	if err != nil {
-		t.Fatalf("empty-interval query: %v", err)
-	}
-	if empty == nil {
-		t.Fatal("empty result is nil; want a non-nil empty map")
-	}
-	if len(empty) != 0 {
-		t.Fatalf("empty-interval query returned %d flows, want 0", len(empty))
+	if empty := do(NetRequest{Kind: "interval", Port: 0, Start: ts + 100, End: ts + 200}); empty.Error != "" || empty.Counts != nil {
+		t.Fatalf("empty-interval query returned %+v, want no counts and no error", empty)
 	}
 
 	// Errors travel back as errors.
-	if _, err := client.Interval(9, 0, 1); err == nil {
+	if resp := do(NetRequest{Kind: "interval", Port: 9, Start: 0, End: 1}); resp.Error == "" {
 		t.Fatal("remote unknown-port query succeeded")
 	}
-	if _, err := client.Interval(0, 5, 5); err == nil {
+	if resp := do(NetRequest{Kind: "interval", Port: 0, Start: 5, End: 5}); resp.Error == "" {
 		t.Fatal("remote empty interval succeeded")
 	}
+	if got := srv.connections.Load(); got != 1 {
+		t.Errorf("connections = %d, want 1: error replies must not drop the connection", got)
+	}
+}
+
+// TestNetServerJSONWireBytes pins the exact bytes the JSON adapter writes
+// for each reply shape a netcat user can provoke: an answer, an original
+// query, query errors, an overload, and an over-long line.
+func TestNetServerJSONWireBytes(t *testing.T) {
+	cfg := testConfig(0)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ts uint64 = 1000
+	for i := 0; i < 20; i++ { // one flow, so "counts" has a single key
+		ts += 10
+		s.OnDequeue(deq(fkey(1), 0, ts-40, ts, 8))
+	}
+	s.Finalize(ts + 1)
+	qs := NewQueryServer(s)
+	qs.Start(1)
+	t.Cleanup(qs.Stop)
+	srv, err := ServeQueriesOpts("127.0.0.1:0", qs, ServeOptions{ShedLimit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	exchange := func(line string) string {
+		t.Helper()
+		if _, err := conn.Write([]byte(line + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	end := strconv.FormatUint(ts+1, 10)
+	flowKey := fkey(1).String()
+	cases := []struct{ req, want string }{
+		{`{"id":1,"kind":"interval","port":0,"start":1000,"end":` + end + `}`,
+			`{"id":1,"counts":{"` + flowKey + `":20}}`},
+		{`{"id":2,"kind":"interval","port":0,"start":` + end + `,"end":` + strconv.FormatUint(ts+100, 10) + `}`,
+			`{"id":2}`},
+		{`{"id":3,"kind":"interval","port":9,"start":0,"end":1}`,
+			`{"id":3,"error":"control: port 9 not activated"}`},
+		{`{"id":4,"kind":"interval","port":0,"start":5,"end":5}`,
+			`{"id":4,"error":"control: empty query interval [5, 5)"}`},
+		{`{"id":5,"kind":"bogus","port":0}`,
+			`{"id":5,"error":"unknown kind \"bogus\""}`},
+		{strings.Repeat("x", maxLine+1),
+			`{"error":"bad request: line exceeds 65536 bytes"}`},
+	}
+	for _, c := range cases {
+		if got := exchange(c.req); got != c.want+"\n" {
+			t.Errorf("request %.60q: reply %q, want %q", c.req, got, c.want+"\n")
+		}
+	}
+	srv.inflight.Add(1) // saturate the shed limit
+	if got, want := exchange(`{"id":6,"kind":"original","port":0,"at":1500}`), `{"id":6,"error":"overloaded"}`+"\n"; got != want {
+		t.Errorf("overloaded reply %q, want %q", got, want)
+	}
+	srv.inflight.Add(-1)
 }
 
 // TestNetServerOverlongLine sends a request line beyond the 64 KiB cap: the
@@ -159,15 +218,16 @@ func TestNetServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client, err := Dial(srv.Addr().String())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer client.Close()
+			js := &jsonSession{addr: srv.Addr().String()}
+			defer js.close()
 			for i := 0; i < 50; i++ {
-				if _, err := client.Interval(0, 1000, ts+1); err != nil {
+				resp, err := js.do(NetRequest{Kind: "interval", Port: 0, Start: 1000, End: ts + 1}, 5*time.Second)
+				if err != nil {
 					t.Error(err)
+					return
+				}
+				if resp.Error != "" {
+					t.Error(resp.Error)
 					return
 				}
 			}

@@ -8,29 +8,22 @@ import (
 	"printqueue/internal/core/histstore"
 )
 
-// newTieredPathPair builds two identically-fed systems with a tiny hot tier
-// backed by the segment log, differing only in QueryPath, and returns them
-// with the feed horizon and the hot tier's coverage start (the hot/cold
-// partition point).
-func newTieredPathPair(t *testing.T) (indexed, scan *System, horizon, hotStart uint64) {
+// newTieredSystem builds a system with a tiny hot tier backed by the
+// segment log and returns it with the feed horizon and the hot tier's
+// coverage start (the hot/cold partition point).
+func newTieredSystem(t *testing.T) (s *System, horizon, hotStart uint64) {
 	t.Helper()
-	build := func(qp QueryPath) *System {
-		cfg := testConfig(0)
-		cfg.PollPeriodNs = 256
-		cfg.MaxCheckpoints = 3 // nearly everything is evicted to the cold tier
-		cfg.History = &histstore.Options{Dir: t.TempDir()}
-		cfg.QueryPath = qp
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
+	cfg := testConfig(0)
+	cfg.PollPeriodNs = 256
+	cfg.MaxCheckpoints = 3 // nearly everything is evicted to the cold tier
+	cfg.History = &histstore.Options{Dir: t.TempDir()}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	indexed = build(QueryPathIndexed)
-	scan = build(QueryPathScan)
-	horizon = feedIdentical(t, []*System{indexed, scan}, 8000)
-	cps := scan.Checkpoints(0)
+	t.Cleanup(func() { s.Close() })
+	horizon = feedIdentical(t, []*System{s}, 8000)
+	cps := s.Checkpoints(0)
 	if len(cps) == 0 {
 		t.Fatal("no hot checkpoints after feed")
 	}
@@ -38,16 +31,15 @@ func newTieredPathPair(t *testing.T) (indexed, scan *System, horizon, hotStart u
 	if hotStart < 2000 {
 		t.Fatalf("hot tier starts at %d; history never evicted to the cold tier", hotStart)
 	}
-	return indexed, scan, horizon, hotStart
+	return s, horizon, hotStart
 }
 
-// TestQueryPathBoundaryDifferential pins the scan path against the indexed
-// path across the hot/cold partition: before the fix, QueryPathScan ignored
-// the segment log entirely, so any interval reaching below the oldest hot
-// checkpoint silently lost the cold contribution and broke the documented
-// bit-identity between the two paths.
+// TestQueryPathBoundaryDifferential pins the indexed path against the
+// reference scan across the hot/cold partition: any interval reaching
+// below the oldest hot checkpoint must pick up the cold contribution
+// exactly once, bit-identically.
 func TestQueryPathBoundaryDifferential(t *testing.T) {
-	indexed, scan, horizon, hotStart := newTieredPathPair(t)
+	s, horizon, hotStart := newTieredSystem(t)
 	cases := []struct {
 		name   string
 		lo, hi uint64
@@ -62,19 +54,19 @@ func TestQueryPathBoundaryDifferential(t *testing.T) {
 	}
 	check := func(name string, lo, hi uint64) {
 		t.Helper()
-		want, err := indexed.QueryInterval(0, lo, hi)
-		if err != nil {
-			t.Fatalf("%s: indexed query [%d,%d): %v", name, lo, hi, err)
-		}
-		got, err := scan.QueryInterval(0, lo, hi)
+		want, err := scanInterval(s, 0, lo, hi)
 		if err != nil {
 			t.Fatalf("%s: scan query [%d,%d): %v", name, lo, hi, err)
 		}
-		if want == nil || got == nil {
-			t.Fatalf("%s: nil counts (indexed=%v scan=%v); empty results must be non-nil", name, want, got)
+		got, err := s.QueryInterval(0, lo, hi)
+		if err != nil {
+			t.Fatalf("%s: indexed query [%d,%d): %v", name, lo, hi, err)
+		}
+		if got == nil {
+			t.Fatalf("%s: nil counts; empty results must be non-nil", name)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: interval [%d,%d): scan %v != indexed %v", name, lo, hi, got, want)
+			t.Fatalf("%s: interval [%d,%d): indexed %v != scan %v", name, lo, hi, got, want)
 		}
 	}
 	for _, c := range cases {
@@ -88,11 +80,11 @@ func TestQueryPathBoundaryDifferential(t *testing.T) {
 }
 
 // TestQueryPathDegenerateIntervals: reversed (start > end) and empty
-// (start == end) intervals must fail identically on both query paths —
-// same error, no partial answer — whether they sit in the hot tier, the
-// cold tier, or exactly on the partition boundary.
+// (start == end) intervals must fail on the indexed path with the same
+// error as the reference scan — no partial answer — whether they sit in
+// the hot tier, the cold tier, or exactly on the partition boundary.
 func TestQueryPathDegenerateIntervals(t *testing.T) {
-	indexed, scan, horizon, hotStart := newTieredPathPair(t)
+	s, horizon, hotStart := newTieredSystem(t)
 	cases := [][2]uint64{
 		{10, 10},                       // empty, cold
 		{hotStart, hotStart},           // empty, on the boundary
@@ -104,15 +96,15 @@ func TestQueryPathDegenerateIntervals(t *testing.T) {
 		{^uint64(0), 0},                // reversed, extreme
 	}
 	for _, c := range cases {
-		ci, errI := indexed.QueryInterval(0, c[0], c[1])
-		cs, errS := scan.QueryInterval(0, c[0], c[1])
+		ci, errI := s.QueryInterval(0, c[0], c[1])
+		_, errS := scanInterval(s, 0, c[0], c[1])
 		if errI == nil || errS == nil {
 			t.Fatalf("degenerate interval [%d,%d) accepted: indexed err=%v scan err=%v", c[0], c[1], errI, errS)
 		}
 		if errI.Error() != errS.Error() {
 			t.Fatalf("interval [%d,%d): divergent errors: indexed %q, scan %q", c[0], c[1], errI, errS)
 		}
-		if ci != nil || cs != nil {
+		if ci != nil {
 			t.Fatalf("interval [%d,%d): counts returned alongside error", c[0], c[1])
 		}
 	}

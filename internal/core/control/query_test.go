@@ -1,13 +1,47 @@
 package control
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"sync"
 	"testing"
 
 	"printqueue/internal/core/qmonitor"
+	"printqueue/internal/core/timewindow"
+	"printqueue/internal/flow"
 )
+
+// scanInterval is the reference interval query the indexed path is held
+// bit-identical to. It prunes nothing and uses no cell index: every cell
+// of every window of every hot checkpoint is visited
+// (Filtered.AccumulateScanInto). The part of the interval below the oldest
+// hot checkpoint comes from the cold tier, partitioned exactly as the
+// production path partitions it, so a bounded hot tier cannot shrink the
+// reference answer.
+func scanInterval(s *System, port int, start, end uint64) (flow.Counts, error) {
+	ps, ok := s.ports[port]
+	if !ok {
+		return nil, fmt.Errorf("control: port %d not activated", port)
+	}
+	if end <= start {
+		return nil, fmt.Errorf("control: empty query interval [%d, %d)", start, end)
+	}
+	cps := ps.snapshotCheckpoints()
+	hotStart := ^uint64(0)
+	if len(cps) > 0 {
+		hotStart = cps[0].PrevFreeze
+	}
+	cold, coldEnd := s.coldRun(port, start, end, hotStart)
+	acc := timewindow.NewAccumulator(s.cfg.TW.T, s.twCoeff)
+	for _, cp := range cps {
+		if lo, hi := max(start, cp.PrevFreeze), min(end, cp.FreezeTime); hi > lo {
+			cp.Filtered().AccumulateScanInto(acc, lo, hi)
+		}
+	}
+	accumulateCold(acc, cold, start, coldEnd)
+	return acc.Counts(), nil
+}
 
 // buildDeepHistory drives a system with a long trace and a short poll
 // period, producing a checkpoint history of at least minCheckpoints, and
@@ -27,9 +61,9 @@ func buildDeepHistory(t *testing.T, s *System, port, minCheckpoints int) uint64 
 }
 
 // TestQueryPathDifferential compares the indexed interval-query path with
-// the reference scan over randomized intervals on a deep checkpoint
-// history. The two must be bit-identical (exact DeepEqual on float maps),
-// including empty, inverted, point, and all-history intervals.
+// the reference scan (scanInterval) over randomized intervals on a deep
+// checkpoint history. The two must be bit-identical (exact DeepEqual on
+// float maps), including empty, inverted, point, and all-history intervals.
 func TestQueryPathDifferential(t *testing.T) {
 	cfg := testConfig(0)
 	cfg.PollPeriodNs = 256
@@ -55,13 +89,11 @@ func TestQueryPathDifferential(t *testing.T) {
 			lo = rng.Uint64N(horizon)
 			hi = lo + 1 + rng.Uint64N(horizon/3)
 		}
-		s.cfg.QueryPath = QueryPathIndexed
 		indexed, err := s.QueryInterval(0, lo, hi)
 		if err != nil {
 			t.Fatalf("indexed query [%d,%d): %v", lo, hi, err)
 		}
-		s.cfg.QueryPath = QueryPathScan
-		scan, err := s.QueryInterval(0, lo, hi)
+		scan, err := scanInterval(s, 0, lo, hi)
 		if err != nil {
 			t.Fatalf("scan query [%d,%d): %v", lo, hi, err)
 		}

@@ -120,6 +120,9 @@ func decodeCheckpointFrame(p []byte) (f CheckpointFrame, err error) {
 		return f, errTruncated
 	}
 	flags := p[0]
+	if flags&^(pushFlagSpecial|pushFlagReplay) != 0 {
+		return f, fmt.Errorf("%w: unknown push flags %#x", errTruncated, flags)
+	}
 	f.Special = flags&pushFlagSpecial != 0
 	f.Replay = flags&pushFlagReplay != 0
 	f.Payload = p[1:]

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -44,6 +45,14 @@ func serveStream(t *testing.T, sys *System) string {
 	return srv.Addr().String()
 }
 
+// streamFrameVectors are the checkpoint-push round-trip vectors, shared
+// with the fuzz targets as seeds.
+var streamFrameVectors = []CheckpointFrame{
+	{Seq: 7, Port: 3, FreezeTime: 2000, PrevFreeze: 1500, Special: true, Replay: true, Payload: []byte("encoded-record-bytes")},
+	{Seq: 1, FreezeTime: 1, Payload: []byte{}},
+	{Seq: 1 << 40, Port: 65535, FreezeTime: 1 << 62, PrevFreeze: 0, Replay: true, Payload: []byte{0xB1, 0}},
+}
+
 func TestStreamFrameCodec(t *testing.T) {
 	// Subscribe round trip.
 	sub := appendSubscribeFrame(nil, 12345)
@@ -58,18 +67,23 @@ func TestStreamFrameCodec(t *testing.T) {
 		t.Fatalf("trailing garbage accepted: %v", err)
 	}
 
-	// Checkpoint push round trip, payload aliasing.
+	// Checkpoint push round trips, payload aliasing.
+	for _, want := range streamFrameVectors {
+		frame := appendCheckpointFrame(nil, want.Seq, want.Port, want.FreezeTime, want.PrevFreeze, want.flags(), want.Payload)
+		f, err := decodeCheckpointFrame(frame[frameHeaderLen:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Seq != want.Seq || f.Port != want.Port || f.FreezeTime != want.FreezeTime || f.PrevFreeze != want.PrevFreeze ||
+			f.Special != want.Special || f.Replay != want.Replay || !bytes.Equal(f.Payload, want.Payload) {
+			t.Fatalf("frame %+v decoded to %+v", want, f)
+		}
+	}
 	payload := []byte("encoded-record-bytes")
 	frame := appendCheckpointFrame(nil, 7, 3, 2000, 1500, pushFlagSpecial|pushFlagReplay, payload)
 	f, err := decodeCheckpointFrame(frame[frameHeaderLen:])
 	if err != nil {
 		t.Fatal(err)
-	}
-	if f.Seq != 7 || f.Port != 3 || f.FreezeTime != 2000 || f.PrevFreeze != 1500 || !f.Special || !f.Replay {
-		t.Fatalf("decoded frame %+v", f)
-	}
-	if string(f.Payload) != string(payload) {
-		t.Fatalf("payload = %q", f.Payload)
 	}
 	if &f.Payload[0] != &frame[len(frame)-len(payload)] {
 		t.Fatal("decoded payload does not alias the frame buffer")
@@ -394,5 +408,54 @@ func TestStreamHubPublishConcurrentUnsubscribe(t *testing.T) {
 	wg.Wait()
 	if hub.active() {
 		t.Fatal("hub still active after every unsubscribe")
+	}
+}
+
+// TestSubscribeEmptyHistory: subscribing to a switch whose durable
+// history has no checkpoint yet replays nothing (the empty active segment
+// has no index to load), and the first freeze then arrives live.
+func TestSubscribeEmptyHistory(t *testing.T) {
+	cfg := testConfig(0)
+	cfg.History = &histstore.Options{Dir: t.TempDir()}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	addr := serveStream(t, sys)
+
+	st, err := DialCheckpoints(addr, 0, DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// Wait for the server to register the subscription, so the replay
+	// runs against the empty log rather than after the feed below.
+	for deadline := time.Now().Add(5 * time.Second); !sys.stream.active(); {
+		if time.Now().After(deadline) {
+			t.Fatal("subscription never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var ts uint64 = 1000
+	for i := 0; i < 60; i++ {
+		ts += 10
+		sys.OnDequeue(deq(fkey(byte(i%3)), 0, ts-40, ts, 8))
+	}
+	sys.Finalize(ts + 1)
+
+	got := make(chan CheckpointFrame, 1)
+	go func() {
+		if f, err := st.Next(); err == nil {
+			got <- f
+		}
+	}()
+	select {
+	case f := <-got:
+		if f.Seq != 1 || f.Port != 0 || len(f.Payload) == 0 {
+			t.Fatalf("first frame %+v, want seq 1 on port 0 with a payload", f)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no frame after the first freeze")
 	}
 }

@@ -139,28 +139,36 @@ func TestEndToEndTraceBatch(t *testing.T) {
 }
 
 // TestEndToEndTraceJSONFallback checks the JSON wire carries the trace id
-// out and the server spans back, like the binary path.
+// in and the server spans back, like the binary path: a raw-socket request
+// with a "trace" field gets its server-side stage spans in the reply's
+// "spans", and with server tracing on the server ring holds the trace
+// under that id.
 func TestEndToEndTraceJSONFallback(t *testing.T) {
 	srv, ts := netFixture(t)
-	tracer := tracing.New(tracing.Config{SampleEvery: 1})
-	c, err := DialOpts(srv.Addr().String(), DialOptions{Tracer: tracer})
+	serverTracer, _ := srv.qs.sys.EnableTracing(TraceOptions{})
+	js := &jsonSession{addr: srv.Addr().String()}
+	defer js.close()
+	const traceID = 0xabc123
+	resp, err := js.do(NetRequest{Kind: "interval", Port: 0, Start: 1000, End: ts + 1, Trace: traceID}, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if _, err := c.Interval(0, 1000, ts+1); err != nil {
-		t.Fatal(err)
+	names := make(map[string]string)
+	for _, sp := range resp.Spans {
+		names[sp.Name] = sp.Src
 	}
-	waitTraceParity(t, tracer, "client")
-	traces := tracer.Traces()
-	if len(traces) != 1 {
-		t.Fatalf("got %d traces, want 1", len(traces))
-	}
-	names := spanNames(traces[0])
-	for _, want := range []string{"client.encode", "client.write", "client.await", "server.execute"} {
-		if _, ok := names[want]; !ok {
-			t.Errorf("JSON trace missing stage %q (have %v)", want, names)
+	for _, want := range []string{"server.dispatch", "server.execute"} {
+		if src, ok := names[want]; !ok || src != tracing.SrcServer {
+			t.Errorf("JSON reply missing server stage %q (have %v)", want, names)
 		}
+	}
+	waitTraceParity(t, serverTracer, "server")
+	st := serverTracer.Find(traceID)
+	if st == nil {
+		t.Fatalf("server ring has no trace %s", tracing.FormatID(traceID))
+	}
+	if _, ok := spanNames(st)["server.write"]; !ok {
+		t.Fatalf("server-side trace missing server.write: %v", spanNames(st))
 	}
 }
 
@@ -220,26 +228,20 @@ func TestServerTraceRingJoinsRemote(t *testing.T) {
 }
 
 // TestWireDifferentialJSONBinaryTraced reruns the JSON/binary differential
-// stream with tracing forced on for both clients and the server: results
+// stream with tracing forced on for both protocols and the server: results
 // must stay bit-equal — tracing must never perturb answers.
 func TestWireDifferentialJSONBinaryTraced(t *testing.T) {
 	srv, ts := netFixture(t)
 	srv.qs.sys.EnableTracing(TraceOptions{SampleEvery: 1})
-	jt := tracing.New(tracing.Config{SampleEvery: 1})
 	bt := tracing.New(tracing.Config{SampleEvery: 1})
-	jc, err := DialOpts(srv.Addr().String(), DialOptions{Tracer: jt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jc.Close()
 	bc, err := DialMuxOpts(srv.Addr().String(), DialOptions{Tracer: bt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bc.Close()
-	runWireDifferential(t, ts, jc, bc)
-	if jt.Started() == 0 || bt.Started() == 0 {
-		t.Fatalf("tracing was not exercised: json=%d binary=%d", jt.Started(), bt.Started())
+	runWireDifferential(t, srv.Addr().String(), ts, bc, 0x7ace)
+	if bt.Started() == 0 {
+		t.Fatal("binary tracing was not exercised")
 	}
 }
 

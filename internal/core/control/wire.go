@@ -33,8 +33,8 @@ import (
 //
 // The magic byte 0xB1 can never begin a JSON request (which starts with
 // '{' or whitespace), so a server can sniff the first byte of a connection
-// and fall back to the v1 JSON line protocol — the negotiated-fallback
-// path old clients keep using.
+// and fall back to the v1 JSON line protocol, which the server keeps for
+// netcat-style use.
 //
 // Payloads are varint-packed:
 //
@@ -187,10 +187,13 @@ func appendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
 }
 
-// uvarint decodes one varint from p, returning the remainder.
+// uvarint decodes one varint from p, returning the remainder. Only the
+// canonical (shortest) encoding is accepted: a multi-byte varint ending in
+// a zero byte is padding no encoder writes, so every accepted payload is
+// the one re-encoding its decoded values would produce.
 func uvarint(p []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(p)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && p[n-1] == 0) {
 		return 0, nil, errTruncated
 	}
 	return v, p[n:], nil
@@ -234,6 +237,12 @@ func decodeCounts(p []byte) (map[string]float64, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// Every entry takes at least two bytes (key length and count), so a
+	// larger n is a lie; rejecting it keeps a hostile count from sizing a
+	// multi-gigabyte map.
+	if n > len(p)/2 {
+		return nil, nil, errTruncated
+	}
 	m := make(map[string]float64, n)
 	for i := 0; i < n; i++ {
 		var klen int
@@ -252,6 +261,9 @@ func decodeCounts(p []byte) (map[string]float64, []byte, error) {
 			return nil, nil, err
 		}
 		m[key] = countFromBits(u)
+	}
+	if len(m) != n {
+		return nil, nil, fmt.Errorf("%w: duplicate flow key in counts", errTruncated)
 	}
 	return m, p, nil
 }
@@ -665,12 +677,12 @@ func decodeBatchReplyT(p []byte) (id uint64, rs []BatchResult, spans []tracing.S
 
 // --- JSON fallback encode ---
 //
-// The v1 line protocol stays on the same listener, but its responses no
-// longer pay json.Marshal's fresh allocation per reply: the server encodes
-// into a pooled buffer with the append-style helpers below. The output is
-// plain JSON any v1 client decodes; floats use the shortest representation
-// that round-trips the exact bit pattern, so JSON and binary codecs return
-// bit-equal counts.
+// The v1 line protocol stays on the same listener as a server-side
+// adapter, but its responses do not pay json.Marshal's fresh allocation
+// per reply: the server encodes into a pooled buffer with the append-style
+// helpers below. The output is plain JSON; floats use the shortest
+// representation that round-trips the exact bit pattern, so JSON and
+// binary codecs return bit-equal counts.
 
 const hexDigits = "0123456789abcdef"
 
@@ -750,43 +762,6 @@ func appendJSONResponse(b []byte, resp NetResponse) []byte {
 			b = append(b, '}')
 		}
 		b = append(b, ']')
-	}
-	return append(b, '}')
-}
-
-// appendJSONRequest appends a NetRequest with the same omitempty shape
-// json.Marshal produced, so the client's reused encode buffer speaks the
-// exact v1 wire format.
-func appendJSONRequest(b []byte, req NetRequest) []byte {
-	b = append(b, '{')
-	if req.ID != 0 {
-		b = append(b, `"id":`...)
-		b = strconv.AppendUint(b, req.ID, 10)
-		b = append(b, ',')
-	}
-	b = append(b, `"kind":`...)
-	b = appendJSONString(b, req.Kind)
-	b = append(b, `,"port":`...)
-	b = strconv.AppendInt(b, int64(req.Port), 10)
-	if req.Queue != 0 {
-		b = append(b, `,"queue":`...)
-		b = strconv.AppendInt(b, int64(req.Queue), 10)
-	}
-	if req.Start != 0 {
-		b = append(b, `,"start":`...)
-		b = strconv.AppendUint(b, req.Start, 10)
-	}
-	if req.End != 0 {
-		b = append(b, `,"end":`...)
-		b = strconv.AppendUint(b, req.End, 10)
-	}
-	if req.At != 0 {
-		b = append(b, `,"at":`...)
-		b = strconv.AppendUint(b, req.At, 10)
-	}
-	if req.Trace != 0 {
-		b = append(b, `,"trace":`...)
-		b = strconv.AppendUint(b, req.Trace, 10)
 	}
 	return append(b, '}')
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 )
 
 // roundTripFrame encodes with enc, then reads the frame back through a
@@ -21,14 +22,27 @@ func roundTripFrame(t *testing.T, frame []byte) (op byte, payload []byte) {
 	return op, payload
 }
 
-func TestWireQueryFrameRoundTrip(t *testing.T) {
-	queries := []BatchQuery{
+// wireQueryVectors and wireCountVectors are the codec round-trip vectors,
+// shared with the fuzz targets as seeds.
+var (
+	wireQueryVectors = []BatchQuery{
 		{Kind: IntervalQuery, Port: 0, Start: 1000, End: 2000},
 		{Kind: IntervalQuery, Port: 7, Start: 0, End: 1},
 		{Kind: OriginalQuery, Port: 3, Queue: 2, Start: 1500},
 		{Kind: OriginalQuery},
 	}
-	for i, q := range queries {
+	wireCountVectors = []map[string]float64{
+		nil,
+		{},
+		{"10.0.0.1:80>10.0.0.2:90/tcp": 12.5},
+		{"a": 0, "b": 1, "c": 60, "d": 1e9, "e": 0.1, "f": math.MaxFloat64, "g": -3.25},
+		{"": 42}, // empty key survives
+		{"flow\twith\"specials\\": 7},
+	}
+)
+
+func TestWireQueryFrameRoundTrip(t *testing.T) {
+	for i, q := range wireQueryVectors {
 		frame := appendQueryFrame(nil, uint64(i+1), q)
 		op, payload := roundTripFrame(t, frame)
 		if op != opQuery {
@@ -45,15 +59,7 @@ func TestWireQueryFrameRoundTrip(t *testing.T) {
 }
 
 func TestWireCountsRoundTripBitEqual(t *testing.T) {
-	cases := []map[string]float64{
-		nil,
-		{},
-		{"10.0.0.1:80>10.0.0.2:90/tcp": 12.5},
-		{"a": 0, "b": 1, "c": 60, "d": 1e9, "e": 0.1, "f": math.MaxFloat64, "g": -3.25},
-		{"": 42}, // empty key survives
-		{"flow\twith\"specials\\": 7},
-	}
-	for i, counts := range cases {
+	for i, counts := range wireCountVectors {
 		frame := appendReplyFrame(nil, 9, NetResponse{Counts: counts})
 		op, payload := roundTripFrame(t, frame)
 		if op != opReply {
@@ -186,8 +192,8 @@ func TestWireBadMagic(t *testing.T) {
 	}
 }
 
-// TestWireJSONAppendParity checks the hand-rolled pooled JSON encoders
-// against encoding/json: every response/request form must decode to the
+// TestWireJSONAppendParity checks the server's hand-rolled pooled JSON
+// encoder against encoding/json: every response form must decode to the
 // same value the marshal-based path produced.
 func TestWireJSONAppendParity(t *testing.T) {
 	resps := []NetResponse{
@@ -221,22 +227,6 @@ func TestWireJSONAppendParity(t *testing.T) {
 			}
 		}
 	}
-
-	reqs := []NetRequest{
-		{Kind: "interval", Port: 0, Start: 1000, End: 2000},
-		{ID: 9, Kind: "original", Port: 3, Queue: 1, At: 777},
-		{ID: 1, Kind: "interval", Port: 2, Start: 0, End: 1},
-	}
-	for i, req := range reqs {
-		got := appendJSONRequest(nil, req)
-		var back NetRequest
-		if err := json.Unmarshal(got, &back); err != nil {
-			t.Fatalf("req %d: %q undecodable: %v", i, got, err)
-		}
-		if back != req {
-			t.Fatalf("req %d: %q decodes to %+v, want %+v", i, got, back, req)
-		}
-	}
 }
 
 // TestWireEncodeAllocs pins the zero-allocation property of the pooled
@@ -259,12 +249,6 @@ func TestWireEncodeAllocs(t *testing.T) {
 	}); n > 0 {
 		t.Errorf("appendJSONResponse allocates %.1f/op, want 0", n)
 	}
-	req := NetRequest{ID: 7, Kind: "interval", Port: 1, Start: 5, End: 9}
-	if n := testing.AllocsPerRun(200, func() {
-		buf = appendJSONRequest(buf[:0], req)
-	}); n > 0 {
-		t.Errorf("appendJSONRequest allocates %.1f/op, want 0", n)
-	}
 	qs := []BatchQuery{{Kind: IntervalQuery, Port: 1, Start: 5, End: 9}, {Kind: OriginalQuery, Start: 3}}
 	if n := testing.AllocsPerRun(200, func() {
 		buf = appendBatchFrame(buf[:0], 7, qs)
@@ -274,28 +258,39 @@ func TestWireEncodeAllocs(t *testing.T) {
 }
 
 // TestWireDifferentialJSONBinary drives an identical query stream through
-// the v1 JSON client and the v2 binary client (single and batch ops)
-// against one server and requires bit-equal counts and matching errors —
-// the acceptance gate that the codecs agree.
+// the v1 JSON protocol (over a raw socket) and the v2 binary client (single
+// and batch ops) against one server and requires bit-equal counts and
+// matching errors — the acceptance gate that the codecs agree.
 func TestWireDifferentialJSONBinary(t *testing.T) {
 	srv, ts := netFixture(t)
-	jc, err := Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jc.Close()
 	bc, err := DialMux(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bc.Close()
-	runWireDifferential(t, ts, jc, bc)
+	runWireDifferential(t, srv.Addr().String(), ts, bc, 0)
 }
 
-// runWireDifferential drives the shared query stream through a JSON and a
-// binary client (also reused with tracing enabled) and requires bit-equal
-// answers.
-func runWireDifferential(t *testing.T, ts uint64, jc *QueryClient, bc *MuxClient) {
+// jsonAnswer turns a JSON response into the (counts, error) pair the binary
+// client returns for the same reply: an error string becomes an error
+// (ErrOverloaded for a shed), and omitted counts an empty, non-nil map.
+func jsonAnswer(resp NetResponse) (map[string]float64, error) {
+	switch {
+	case resp.Error == ErrOverloaded.Error():
+		return nil, ErrOverloaded
+	case resp.Error != "":
+		return nil, errors.New(resp.Error)
+	case resp.Counts == nil:
+		return map[string]float64{}, nil
+	}
+	return resp.Counts, nil
+}
+
+// runWireDifferential drives the shared query stream through the JSON
+// protocol on a raw socket to addr and through a binary client, and
+// requires bit-equal answers. A non-zero traceID is sent on every JSON
+// request, and each reply must carry the server's spans back.
+func runWireDifferential(t *testing.T, addr string, ts uint64, bc *MuxClient, traceID uint64) {
 	t.Helper()
 	stream := []BatchQuery{
 		{Kind: IntervalQuery, Port: 0, Start: 1000, End: ts + 1},       // full trace
@@ -305,11 +300,24 @@ func runWireDifferential(t *testing.T, ts uint64, jc *QueryClient, bc *MuxClient
 		{Kind: IntervalQuery, Port: 0, Start: 5, End: 5},               // empty interval error
 		{Kind: OriginalQuery, Port: 0, Queue: 0, Start: 10},            // quiet instant
 	}
-
-	run := func(q BatchQuery, do func() (map[string]float64, error)) (map[string]float64, error) {
+	js := &jsonSession{addr: addr}
+	defer js.close()
+	jsonQuery := func(q BatchQuery) (map[string]float64, error) {
 		t.Helper()
-		return do()
+		req := NetRequest{Kind: "interval", Port: q.Port, Start: q.Start, End: q.End, Trace: traceID}
+		if q.Kind == OriginalQuery {
+			req = NetRequest{Kind: "original", Port: q.Port, Queue: q.Queue, At: q.Start, Trace: traceID}
+		}
+		resp, err := js.do(req, 5*time.Second)
+		if err != nil {
+			t.Fatalf("json %+v: %v", req, err)
+		}
+		if traceID != 0 && len(resp.Spans) == 0 {
+			t.Fatalf("json %+v: traced reply carried no server spans", req)
+		}
+		return jsonAnswer(resp)
 	}
+
 	bitEqual := func(i int, jm, bm map[string]float64) {
 		t.Helper()
 		if len(jm) != len(bm) {
@@ -329,14 +337,13 @@ func runWireDifferential(t *testing.T, ts uint64, jc *QueryClient, bc *MuxClient
 	var jsonResults []map[string]float64
 	var jsonErrs []error
 	for i, q := range stream {
-		var jm, bm map[string]float64
-		var jerr, berr error
+		jm, jerr := jsonQuery(q)
+		var bm map[string]float64
+		var berr error
 		if q.Kind == IntervalQuery {
-			jm, jerr = run(q, func() (map[string]float64, error) { return jc.Interval(q.Port, q.Start, q.End) })
-			bm, berr = run(q, func() (map[string]float64, error) { return bc.Interval(q.Port, q.Start, q.End) })
+			bm, berr = bc.Interval(q.Port, q.Start, q.End)
 		} else {
-			jm, jerr = run(q, func() (map[string]float64, error) { return jc.Original(q.Port, q.Queue, q.Start) })
-			bm, berr = run(q, func() (map[string]float64, error) { return bc.Original(q.Port, q.Queue, q.Start) })
+			bm, berr = bc.Original(q.Port, q.Queue, q.Start)
 		}
 		jsonResults = append(jsonResults, jm)
 		jsonErrs = append(jsonErrs, jerr)

@@ -560,7 +560,9 @@ func (s *Store) ReplaySince(since uint64, fn func(payload []byte, port int, free
 		segs = append(segs, s.activeSeg)
 	}
 	for _, seg := range segs {
-		if seg.count > 0 && seg.maxFreeze <= since {
+		// An empty segment (the fresh active one before its first append)
+		// has nothing to replay and no footer to load an index from.
+		if seg.count == 0 || seg.maxFreeze <= since {
 			continue
 		}
 		if seg.index == nil {

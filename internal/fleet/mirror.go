@@ -236,7 +236,17 @@ func (m *Mirror) run() {
 		}
 		first = false
 		backoff = backoffBase
+		// Publish the stream under mu and recheck stop there: a close that
+		// ran while the dial was in flight found no stream to cut, so the
+		// streamer must notice the stop itself or block in Next forever.
 		m.mu.Lock()
+		select {
+		case <-m.stop:
+			m.mu.Unlock()
+			st.Close()
+			return
+		default:
+		}
 		m.cur = st
 		m.sessionComplete = fresh
 		m.mu.Unlock()

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
 	"sync"
@@ -328,5 +329,50 @@ func TestFleetStreamMetricsParity(t *testing.T) {
 	}
 	if !strings.Contains(exposition, "printqueue_fleet_stream_frames_total") {
 		t.Fatal("stream frame counter missing from exposition")
+	}
+}
+
+// TestFleetMirrorCloseDuringDial pins the close race: a Close that lands
+// while the streamer is inside DialCheckpoints finds no live stream to
+// cut, so the streamer itself must notice the stop once the dial returns
+// instead of blocking on the new stream forever.
+func TestFleetMirrorCloseDuringDial(t *testing.T) {
+	addr, _, _, _ := startHistSwitch(t, 0)
+	dialing := make(chan struct{})
+	mirrorCh := make(chan *Mirror, 1)
+	var first sync.Once
+	dial := func(a string, timeout time.Duration) (net.Conn, error) {
+		first.Do(func() {
+			close(dialing)
+			m := <-mirrorCh
+			<-m.stop
+			// Let close check for a live stream before this dial
+			// completes, which is the window the race needs.
+			time.Sleep(50 * time.Millisecond)
+		})
+		return net.DialTimeout("tcp", a, timeout)
+	}
+	c := New(Options{
+		MirrorDir:  t.TempDir(),
+		Mirror:     true,
+		MirrorDial: &control.DialOptions{Timeout: time.Second, Dialer: dial},
+	})
+	if err := c.Register(SwitchInfo{ID: "sw0", Hop: 0, Addr: addr}); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	mirrorCh <- c.members["sw0"].mirror
+	c.mu.Unlock()
+	<-dialing
+
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Collector.Close hung: the mirror streamer missed a stop that landed mid-dial")
 	}
 }

@@ -157,10 +157,6 @@ type Config struct {
 	// MaxCheckpoints bounds the retained checkpoint history per port
 	// (0 = unlimited).
 	MaxCheckpoints int
-	// QueryPath selects the asynchronous-query implementation: the default
-	// indexed path (checkpoint pruning + per-window cell index), or the
-	// reference full scan kept for ablation. Results are bit-identical.
-	QueryPath QueryPath
 	// History, when non-nil, enables the tiered checkpoint history: every
 	// retired checkpoint is compactly encoded and appended to a durable
 	// segment log, and interval queries reaching past the in-RAM history
@@ -227,25 +223,6 @@ func (h HistoryStats) CompressionRatio() float64 {
 		return 0
 	}
 	return float64(h.RawBytes) / float64(h.EncodedBytes)
-}
-
-// QueryPath selects how interval queries walk the checkpoint history.
-type QueryPath int
-
-const (
-	// QueryPathIndexed binary-searches the overlapping checkpoint run and,
-	// per checkpoint, the overlapping cell range of each window.
-	QueryPathIndexed QueryPath = iota
-	// QueryPathScan visits every cell of every retained checkpoint — the
-	// reference implementation, retained for ablation.
-	QueryPathScan
-)
-
-func (p QueryPath) internal() control.QueryPath {
-	if p == QueryPathScan {
-		return control.QueryPathScan
-	}
-	return control.QueryPathIndexed
 }
 
 // DefaultConfig returns the paper's UW-trace configuration (m0=6, k=12,
@@ -342,7 +319,6 @@ func New(cfg Config) (*System, error) {
 		PollPeriodNs:          uint64(cfg.PollPeriod.Nanoseconds()),
 		ReadRateEntriesPerSec: cfg.ReadRateEntriesPerSec,
 		MaxCheckpoints:        cfg.MaxCheckpoints,
-		QueryPath:             cfg.QueryPath.internal(),
 		DPTrigger:             cfg.dpTrigger(),
 		History:               cfg.History.internal(),
 	})

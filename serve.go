@@ -9,10 +9,12 @@ import (
 
 // QueryService is a running TCP endpoint for asynchronous queries: the
 // paper's Figure-3 path where higher-layer applications send requests to
-// the analysis program on the switch CPU. One listener speaks two wire
-// protocols, negotiated by the first byte of each connection: the binary
-// multiplexed v2 protocol (see MuxQueryClient) and newline-delimited JSON
-// (see QueryClient), which remains as the fallback.
+// the analysis program on the switch CPU. Programs query it with
+// MuxQueryClient over the binary multiplexed v2 protocol. The same
+// listener also answers newline-delimited JSON, negotiated by the first
+// byte of each connection, so an operator can query it with netcat:
+//
+//	echo '{"id":1,"kind":"interval","port":0,"start":1000,"end":2000}' | nc 127.0.0.1 7171
 type QueryService struct {
 	qs  *control.QueryServer
 	srv *control.NetServer
@@ -66,18 +68,7 @@ func (q *QueryService) Close() error {
 	return err
 }
 
-// QueryClient talks to a QueryService over TCP. Every round trip carries
-// an I/O deadline (default 5s) so a hung or partitioned QueryService fails
-// a diagnosis quickly instead of blocking it forever. Queries are
-// idempotent, so failed round trips are retried automatically on a fresh
-// connection with exponential backoff (default 2 retries); requests and
-// responses carry matching ids, so a response delayed past its deadline can
-// never be mistaken for the answer to a later query.
-type QueryClient struct {
-	inner *control.QueryClient
-}
-
-// DialOptions tunes a QueryClient connection.
+// DialOptions tunes a MuxQueryClient connection.
 type DialOptions struct {
 	// Timeout is the per-round-trip I/O deadline. 0 means the 5s default;
 	// negative disables deadlines entirely.
@@ -99,49 +90,16 @@ type DialOptions struct {
 	Tracer *Tracer
 }
 
-// DialQueries connects to a QueryService with default options.
-func DialQueries(addr string) (*QueryClient, error) {
-	return DialQueriesOpts(addr, DialOptions{})
-}
-
-// DialQueriesOpts connects to a QueryService with explicit options.
-func DialQueriesOpts(addr string, opts DialOptions) (*QueryClient, error) {
-	inner, err := control.DialOpts(addr, control.DialOptions{
-		Timeout:     opts.Timeout,
-		MaxRetries:  opts.MaxRetries,
-		BackoffBase: opts.BackoffBase,
-		BackoffMax:  opts.BackoffMax,
-		Tracer:      opts.Tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &QueryClient{inner: inner}, nil
-}
-
-// Close closes the connection.
-func (c *QueryClient) Close() error { return c.inner.Close() }
-
-// Timeouts returns how many of this client's round trips have failed with
-// an I/O timeout. The server-side view of query health lives on the ops
-// endpoint (printqueue_query_* metrics).
-func (c *QueryClient) Timeouts() int64 { return c.inner.Timeouts() }
-
-// Retries returns how many retry attempts this client has made after
-// retryable failures.
-func (c *QueryClient) Retries() int64 { return c.inner.Retries() }
-
-// Reconnects returns how many times this client has redialed after a
-// connection was poisoned by an I/O error.
-func (c *QueryClient) Reconnects() int64 { return c.inner.Reconnects() }
-
 // MuxQueryClient talks to a QueryService over the binary v2 wire protocol
 // with true multiplexing: many queries may be in flight on one TCP
 // connection at once (call it concurrently from any number of goroutines),
 // and Batch answers many queries with a single frame in each direction.
-// It keeps the QueryClient resilience contract — per-round-trip deadlines,
-// automatic retries with backoff, and id-matched responses so a late reply
-// is never mistaken for a later query's answer.
+// Every round trip carries an I/O deadline (default 5s), so a hung or
+// partitioned QueryService fails a diagnosis quickly instead of blocking
+// it forever. Queries are idempotent, so failed round trips are retried
+// automatically with exponential backoff (default 2 retries), redialing
+// when the connection was poisoned; requests and replies carry matching
+// ids, so a late reply is never mistaken for a later query's answer.
 type MuxQueryClient struct {
 	inner *control.MuxClient
 }
@@ -152,7 +110,7 @@ func DialQueriesMux(addr string) (*MuxQueryClient, error) {
 }
 
 // DialQueriesMuxOpts connects a multiplexed binary client with explicit
-// options. The options have the same meaning as for DialQueriesOpts.
+// options. The initial dial is not retried, so a wrong address fails fast.
 func DialQueriesMuxOpts(addr string, opts DialOptions) (*MuxQueryClient, error) {
 	inner, err := control.DialMuxOpts(addr, control.DialOptions{
 		Timeout:     opts.Timeout,
@@ -270,23 +228,4 @@ func reportFromWire(counts map[string]float64) (Report, error) {
 	}
 	SortCulprits(out)
 	return out, nil
-}
-
-// Interval queries per-flow packet counts dequeued during [start, end) on a
-// port.
-func (c *QueryClient) Interval(port int, start, end uint64) (Report, error) {
-	counts, err := c.inner.Interval(port, start, end)
-	if err != nil {
-		return nil, err
-	}
-	return reportFromWire(counts)
-}
-
-// Original queries the original causes of congestion at time t.
-func (c *QueryClient) Original(port, queue int, t uint64) (Report, error) {
-	counts, err := c.inner.Original(port, queue, t)
-	if err != nil {
-		return nil, err
-	}
-	return reportFromWire(counts)
 }
