@@ -185,7 +185,9 @@ func (c *Checkpoint) memBytes() int64 {
 	return n
 }
 
-// DPQuery is the record of one data-plane-triggered query.
+// DPQuery is the record of one data-plane-triggered query. Its special
+// checkpoint is the one in Checkpoints(Port) frozen at FreezeTime; the
+// record does not reference it, so history eviction can reclaim it.
 type DPQuery struct {
 	Port        int
 	Queue       int
@@ -195,7 +197,6 @@ type DPQuery struct {
 	EnqQdepth   int
 	FreezeTime  uint64
 	Result      flow.Counts
-	Checkpoint  *Checkpoint
 	ReadLatency uint64 // ns the special-register read occupied the front end
 }
 
@@ -681,9 +682,8 @@ func (s *System) retireCheckpoint(ps *portState, cp *Checkpoint) {
 		// hot tier keeps serving, so ingestion never stops on a disk fault.
 		if streaming {
 			// Publish to subscribers through the append hook so the stream
-			// reuses the bytes the log write already encoded — the encoder
-			// builds a flow dictionary per call, so a second encode would
-			// put allocations back on the snapshotter path.
+			// reuses the bytes the log write already encoded instead of
+			// paying for a second encode on the snapshotter path.
 			_ = s.hist.AppendWith(rec, func(payload []byte) {
 				s.stream.publish(ps.id, cp.FreezeTime, cp.PrevFreeze, cp.Special, payload)
 			})
@@ -866,7 +866,6 @@ func (s *System) dataPlaneQuery(ps *portState, p *pktrec.Packet, queue int, now 
 		DeqTS:       p.Meta.DeqTimestamp(),
 		EnqQdepth:   p.Meta.EnqQdepth,
 		FreezeTime:  now,
-		Checkpoint:  cp,
 		ReadLatency: lat,
 	}
 	// The victim's queuing interval can reach past the just-frozen special

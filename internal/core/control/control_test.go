@@ -193,8 +193,14 @@ func TestDataPlaneQuery(t *testing.T) {
 	if dq.Result.Total() == 0 {
 		t.Fatal("dp query returned no culprits")
 	}
-	if !dq.Checkpoint.Special {
-		t.Fatal("dp checkpoint not marked special")
+	var special *Checkpoint
+	for _, cp := range s.Checkpoints(0) {
+		if cp.FreezeTime == dq.FreezeTime {
+			special = cp
+		}
+	}
+	if special == nil || !special.Special {
+		t.Fatalf("no special checkpoint frozen at %d", dq.FreezeTime)
 	}
 	if dq.ReadLatency == 0 {
 		t.Fatal("read latency not modelled")

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"printqueue/internal/core/qmonitor"
 	"printqueue/internal/core/timewindow"
@@ -135,20 +136,38 @@ func (r *reader) bytes(n int) []byte {
 
 // flowDict interns flow keys during encode, assigning dense ids in
 // first-seen order so cell references stay one varint byte for the common
-// case of < 128 distinct flows per checkpoint.
+// case of < 128 distinct flows per checkpoint. The interning pass hashes
+// each valid cell and queue-monitor half exactly once: it records the ids
+// in refs, in the order the emit passes write them, and the per-window
+// valid-cell and per-monitor occupied-entry counts in counts. Dictionaries
+// are pooled, so steady-state encoding allocates nothing.
 type flowDict struct {
-	ids   map[flow.Key]uint64
-	flows []flow.Key
+	ids    map[flow.Key]uint32
+	flows  []flow.Key
+	refs   []uint32
+	counts []int
 }
 
-func (d *flowDict) id(k flow.Key) uint64 {
-	if id, ok := d.ids[k]; ok {
-		return id
+var dictPool = sync.Pool{New: func() any {
+	return &flowDict{ids: make(map[flow.Key]uint32, 64)}
+}}
+
+func putDict(d *flowDict) {
+	clear(d.ids)
+	d.flows = d.flows[:0]
+	d.refs = d.refs[:0]
+	d.counts = d.counts[:0]
+	dictPool.Put(d)
+}
+
+func (d *flowDict) intern(k flow.Key) {
+	id, ok := d.ids[k]
+	if !ok {
+		id = uint32(len(d.flows))
+		d.ids[k] = id
+		d.flows = append(d.flows, k)
 	}
-	id := uint64(len(d.flows))
-	d.ids[k] = id
-	d.flows = append(d.flows, k)
-	return id
+	d.refs = append(d.refs, id)
 }
 
 // EncodeRecord appends the compact encoding of rec to dst and returns the
@@ -176,62 +195,67 @@ func EncodeRecord(dst []byte, rec *Record) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cfg.MinPktTxDelayNs))
 
 	// Two passes over the windows: intern every flow first so the
-	// dictionary precedes the cell streams, then emit the streams.
-	dict := &flowDict{ids: make(map[flow.Key]uint64, 64)}
+	// dictionary precedes the cell streams, then emit the streams from the
+	// ids the first pass recorded.
+	dict := dictPool.Get().(*flowDict)
+	defer putDict(dict)
 	windows := rec.TW.Windows()
 	for _, w := range windows {
+		nValid := 0
 		for i := range w {
 			if w[i].Valid {
-				dict.id(w[i].Flow)
+				dict.intern(w[i].Flow)
+				nValid++
 			}
 		}
+		dict.counts = append(dict.counts, nValid)
 	}
 	for _, qm := range rec.QM {
 		if qm == nil {
-			continue
+			return dst, fmt.Errorf("histstore: record with nil queue-monitor snapshot")
 		}
-		for _, e := range qm.Entries() {
+		nOcc := 0
+		entries := qm.Entries()
+		for i := range entries {
+			e := &entries[i]
 			if e.Up.Valid {
-				dict.id(e.Up.Flow)
+				dict.intern(e.Up.Flow)
 			}
 			if e.Down.Valid {
-				dict.id(e.Down.Flow)
+				dict.intern(e.Down.Flow)
+			}
+			if e.Up.Valid || e.Down.Valid {
+				nOcc++
 			}
 		}
+		dict.counts = append(dict.counts, nOcc)
 	}
 	dst = appendUvarint(dst, uint64(len(dict.flows)))
 	for _, k := range dict.flows {
 		dst = k.AppendBinary(dst)
 	}
 
-	for _, w := range windows {
-		dst = encodeWindow(dst, w, dict)
+	refs, counts := dict.refs, dict.counts
+	for i, w := range windows {
+		dst, refs = encodeWindow(dst, w, counts[i], refs)
 	}
+	counts = counts[len(windows):]
 
 	dst = appendUvarint(dst, uint64(len(rec.QM)))
-	for _, qm := range rec.QM {
-		var err error
-		dst, err = encodeMonitor(dst, qm, dict)
-		if err != nil {
-			return dst, err
-		}
+	for q, qm := range rec.QM {
+		dst, refs = encodeMonitor(dst, qm, counts[q], refs)
 	}
 	return dst, nil
 }
 
 // encodeWindow emits one window's cells: the valid-cell count, the base
 // cycle, then (skip, run) pairs where each run's cells carry a flow id and a
-// zigzag cycle delta against the previous valid cell.
-func encodeWindow(dst []byte, w []timewindow.Cell, dict *flowDict) []byte {
-	nValid := 0
-	for i := range w {
-		if w[i].Valid {
-			nValid++
-		}
-	}
+// zigzag cycle delta against the previous valid cell. The flow ids are
+// taken in order from refs; the unconsumed remainder is returned.
+func encodeWindow(dst []byte, w []timewindow.Cell, nValid int, refs []uint32) ([]byte, []uint32) {
 	dst = appendUvarint(dst, uint64(nValid))
 	if nValid == 0 {
-		return dst
+		return dst, refs
 	}
 	first := 0
 	for !w[first].Valid {
@@ -258,38 +282,31 @@ func encodeWindow(dst []byte, w []timewindow.Cell, dict *flowDict) []byte {
 		dst = appendUvarint(dst, uint64(skip))
 		dst = appendUvarint(dst, uint64(run))
 		for j := i; j < i+run; j++ {
-			dst = appendUvarint(dst, dict.id(w[j].Flow))
+			dst = appendUvarint(dst, uint64(refs[0]))
+			refs = refs[1:]
 			dst = appendZigzag(dst, int64(w[j].CycleID)-int64(pred))
 			pred = w[j].CycleID
 		}
 		i += run
 	}
-	return dst
+	return dst, refs
 }
 
 // encodeMonitor emits one queue monitor snapshot: config, top pointer, and
 // the occupied entries as (skip, halves) pairs with sequence numbers
 // delta-encoded in level order (the staircase makes them near-monotonic).
-func encodeMonitor(dst []byte, qm *qmonitor.Snapshot, dict *flowDict) ([]byte, error) {
-	if qm == nil {
-		return dst, fmt.Errorf("histstore: record with nil queue-monitor snapshot")
-	}
+// Like encodeWindow it takes its flow ids from refs and returns the rest.
+func encodeMonitor(dst []byte, qm *qmonitor.Snapshot, nOcc int, refs []uint32) ([]byte, []uint32) {
 	cfg := qm.Config()
 	dst = appendUvarint(dst, uint64(cfg.MaxDepthCells))
 	dst = appendUvarint(dst, uint64(cfg.GranuleCells))
 	dst = appendUvarint(dst, uint64(qm.Top()))
 	entries := qm.Entries()
-	nOcc := 0
-	for i := range entries {
-		if entries[i].Up.Valid || entries[i].Down.Valid {
-			nOcc++
-		}
-	}
 	dst = appendUvarint(dst, uint64(nOcc))
 	var predSeq uint64
 	skip := 0
 	for i := range entries {
-		e := entries[i]
+		e := &entries[i]
 		if !e.Up.Valid && !e.Down.Valid {
 			skip++
 			continue
@@ -305,22 +322,29 @@ func encodeMonitor(dst []byte, qm *qmonitor.Snapshot, dict *flowDict) ([]byte, e
 		}
 		dst = append(dst, halves)
 		if e.Up.Valid {
-			dst = appendUvarint(dst, dict.id(e.Up.Flow))
+			dst = appendUvarint(dst, uint64(refs[0]))
+			refs = refs[1:]
 			dst = appendZigzag(dst, int64(e.Up.Seq)-int64(predSeq))
 			predSeq = e.Up.Seq
 		}
 		if e.Down.Valid {
-			dst = appendUvarint(dst, dict.id(e.Down.Flow))
+			dst = appendUvarint(dst, uint64(refs[0]))
+			refs = refs[1:]
 			dst = appendZigzag(dst, int64(e.Down.Seq)-int64(predSeq))
 			predSeq = e.Down.Seq
 		}
 	}
-	return dst, nil
+	return dst, refs
 }
 
 // DecodeRecord decodes a payload produced by EncodeRecord. The returned
 // record owns freshly allocated snapshots; the input buffer may be reused.
-func DecodeRecord(b []byte) (*Record, error) {
+func DecodeRecord(b []byte) (*Record, error) { return decodeRecord(b, math.MaxInt) }
+
+// decodeRecord is DecodeRecord with a cap on the window cells plus monitor
+// entries it may allocate. A header of a few bytes can declare registers of
+// gigabytes, so the fuzz target decodes under a small cap.
+func decodeRecord(b []byte, maxCells int) (*Record, error) {
 	r := &reader{b: b}
 	if v := r.byte(); r.err == nil && v != codecVersion {
 		return nil, fmt.Errorf("histstore: unknown record version %d", v)
@@ -364,11 +388,20 @@ func DecodeRecord(b []byte) (*Record, error) {
 	}
 
 	cells := cfg.Cells()
+	if cfg.T*cells > maxCells {
+		return nil, fmt.Errorf("histstore: %d window cells exceed the decode cap of %d", cfg.T*cells, maxCells)
+	}
+	maxCells -= cfg.T * cells
 	flat := make([]timewindow.Cell, cfg.T*cells)
 	windows := make([][]timewindow.Cell, cfg.T)
 	for i := range windows {
 		w := flat[i*cells : (i+1)*cells : (i+1)*cells]
-		if err := decodeWindow(r, w, flows); err != nil {
+		// A live register derives cycle IDs from a 64-bit dequeue time, so
+		// cycle<<(k+m0+alpha*i) never overflows; rejecting larger IDs keeps
+		// every decoded span start exact and therefore ordered as the cell
+		// index assumes (timewindow.Filtered.buildIndex).
+		maxCycle := ^uint64(0) >> (cfg.K + cfg.M0 + cfg.Alpha*uint(i))
+		if err := decodeWindow(r, w, flows, maxCycle); err != nil {
 			return nil, err
 		}
 		windows[i] = w
@@ -388,7 +421,7 @@ func DecodeRecord(b []byte) (*Record, error) {
 	}
 	rec.QM = make([]*qmonitor.Snapshot, nQueues)
 	for q := range rec.QM {
-		qm, err := decodeMonitor(r, flows)
+		qm, err := decodeMonitor(r, flows, &maxCells)
 		if err != nil {
 			return nil, err
 		}
@@ -400,7 +433,7 @@ func DecodeRecord(b []byte) (*Record, error) {
 	return rec, nil
 }
 
-func decodeWindow(r *reader, w []timewindow.Cell, flows []flow.Key) error {
+func decodeWindow(r *reader, w []timewindow.Cell, flows []flow.Key, maxCycle uint64) error {
 	nValid := r.uvarint()
 	if r.err != nil {
 		return r.err
@@ -434,6 +467,9 @@ func decodeWindow(r *reader, w []timewindow.Cell, flows []flow.Key) error {
 				return fmt.Errorf("histstore: cell flow id %d out of dictionary (%d flows)", id, len(flows))
 			}
 			cycle := uint64(int64(pred) + delta)
+			if cycle > maxCycle {
+				return fmt.Errorf("histstore: cell cycle %d exceeds the 64-bit timestamp range", cycle)
+			}
 			w[i] = timewindow.Cell{Flow: flows[id], CycleID: cycle, Valid: true}
 			pred = cycle
 			i++
@@ -443,7 +479,7 @@ func decodeWindow(r *reader, w []timewindow.Cell, flows []flow.Key) error {
 	return nil
 }
 
-func decodeMonitor(r *reader, flows []flow.Key) (*qmonitor.Snapshot, error) {
+func decodeMonitor(r *reader, flows []flow.Key, maxCells *int) (*qmonitor.Snapshot, error) {
 	var cfg qmonitor.Config
 	cfg.MaxDepthCells = int(r.uvarint())
 	cfg.GranuleCells = int(r.uvarint())
@@ -455,6 +491,10 @@ func decodeMonitor(r *reader, flows []flow.Key) (*qmonitor.Snapshot, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("histstore: bad monitor config in record: %w", err)
 	}
+	if cfg.Entries() > *maxCells {
+		return nil, fmt.Errorf("histstore: %d monitor entries exceed the decode cap", cfg.Entries())
+	}
+	*maxCells -= cfg.Entries()
 	entries := make([]qmonitor.Entry, cfg.Entries())
 	if nOcc > uint64(len(entries)) {
 		return nil, fmt.Errorf("histstore: monitor claims %d occupied of %d entries", nOcc, len(entries))
@@ -467,7 +507,7 @@ func decodeMonitor(r *reader, flows []flow.Key) (*qmonitor.Snapshot, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		if skip > uint64(len(entries)-i-1) || halves == 0 || halves > 3 {
+		if skip >= uint64(len(entries)-i) || halves == 0 || halves > 3 {
 			return nil, fmt.Errorf("histstore: monitor entry (skip %d, halves %#x) overflows at level %d", skip, halves, i)
 		}
 		i += int(skip)

@@ -1,6 +1,8 @@
 package histstore
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -28,7 +30,7 @@ func testKey(n int) flow.Key {
 // buildRecord drives live register structures with a seeded trace and
 // snapshots them, so encoded records look like real checkpoints (mostly
 // monotone cycle ids, shared flows, sparse monitors).
-func buildRecord(t *testing.T, seed int64, packets int) *Record {
+func buildRecord(t testing.TB, seed int64, packets int) *Record {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	tw, err := timewindow.New(twConfig(), nil)
@@ -229,8 +231,124 @@ func TestCodecCorruptionSafe(t *testing.T) {
 	}
 }
 
+// TestCodecRejectsOverflowingCycle: a live register's cycle IDs come from
+// 64-bit dequeue times, so cycle<<(k+m0+alpha*i) always fits; the decoder
+// rejects larger IDs, whose span starts would wrap and break the cell
+// index's order.
+func TestCodecRejectsOverflowingCycle(t *testing.T) {
+	cfg := twConfig()
+	qm, _ := qmonitor.New(qmConfig(), nil)
+	for i := 0; i < cfg.T; i++ {
+		maxCycle := ^uint64(0) >> (cfg.K + cfg.M0 + cfg.Alpha*uint(i))
+		for _, tc := range []struct {
+			cycle uint64
+			ok    bool
+		}{{maxCycle, true}, {maxCycle + 1, false}} {
+			windows := make([][]timewindow.Cell, cfg.T)
+			for w := range windows {
+				windows[w] = make([]timewindow.Cell, cfg.Cells())
+			}
+			windows[i][5] = timewindow.Cell{Flow: testKey(1), CycleID: tc.cycle, Valid: true}
+			tw, err := timewindow.NewSnapshot(cfg, windows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := EncodeRecord(nil, &Record{FreezeTime: 1, TW: tw, QM: []*qmonitor.Snapshot{qm.Snapshot()}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeRecord(enc); (err == nil) != tc.ok {
+				t.Fatalf("window %d cycle %d: decode error %v, want accepted=%v", i, tc.cycle, err, tc.ok)
+			}
+		}
+	}
+}
+
+// goldenCodecSHA256 is the SHA-256 of the encodings TestCodecGoldenBytes
+// concatenates, as produced by the original two-lookup encoder. Segment
+// logs and stream frames written by switches and mirrors running either
+// encoder must stay interchangeable, so the bytes may never drift.
+const goldenCodecSHA256 = "a26b9917a8bfeacc6cfc9b6d543e20d1c02d45fe36d1c198617245b4d4f69664"
+
+// TestCodecGoldenBytes pins the exact encoded bytes over seeds 0-19 and
+// record sizes from empty to far past the register capacity.
+func TestCodecGoldenBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("encodes 20 records of 200000 packets")
+	}
+	h := sha256.New()
+	var buf []byte
+	for seed := int64(0); seed < 20; seed++ {
+		for _, n := range []int{0, 1, 100, 5000, 200000} {
+			var err error
+			buf, err = EncodeRecord(buf[:0], buildRecord(t, seed, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(buf)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenCodecSHA256 {
+		t.Fatalf("encoded bytes drifted: sha256 %s, want %s", got, goldenCodecSHA256)
+	}
+}
+
+// TestEncodeSteadyStateAllocs pins EncodeRecord at zero allocations once
+// its output buffer and pooled flow dictionary are warm — the state the
+// snapshotter encodes in.
+func TestEncodeSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	rec := buildRecord(t, 3, 20000)
+	buf, err := EncodeRecord(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		buf, _ = EncodeRecord(buf[:0], rec)
+	}); n > 0 {
+		t.Fatalf("EncodeRecord allocates %.1f/op into a reused buffer, want 0", n)
+	}
+}
+
+// fuzzMaxCells caps the registers a fuzzed record may declare: a header of
+// a few bytes can otherwise ask for gigabytes of cells.
+const fuzzMaxCells = 1 << 16
+
+// FuzzDecodeRecord feeds arbitrary payloads to the decoder, seeded with
+// real encodings. It must never panic, and whatever it accepts must
+// re-encode to bytes that decode to an equal record.
+func FuzzDecodeRecord(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		for _, n := range []int{0, 1, 60, 800} {
+			rec := buildRecord(f, seed, n)
+			enc, err := EncodeRecord(nil, rec)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(enc)
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rec, err := decodeRecord(b, fuzzMaxCells)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeRecord(nil, rec)
+		if err != nil {
+			t.Fatalf("accepted record does not re-encode: %v", err)
+		}
+		again, err := DecodeRecord(enc)
+		if err != nil {
+			t.Fatalf("re-encoded record does not decode: %v", err)
+		}
+		assertRecordsEqual(t, rec, again)
+	})
+}
+
 func BenchmarkCheckpointEncode(b *testing.B) {
-	rec := buildRecordB(b, 3, 20000)
+	rec := buildRecord(b, 3, 20000)
 	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -245,7 +363,7 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 }
 
 func BenchmarkCheckpointDecode(b *testing.B) {
-	rec := buildRecordB(b, 3, 20000)
+	rec := buildRecord(b, 3, 20000)
 	enc, err := EncodeRecord(nil, rec)
 	if err != nil {
 		b.Fatal(err)
@@ -258,32 +376,4 @@ func BenchmarkCheckpointDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// buildRecordB is buildRecord for benchmarks.
-func buildRecordB(b *testing.B, seed int64, packets int) *Record {
-	b.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	tw, err := timewindow.New(twConfig(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qm, err := qmonitor.New(qmConfig(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := uint64(1000)
-	depth := 0
-	for i := 0; i < packets; i++ {
-		ts += uint64(rng.Intn(24) + 1)
-		depth += rng.Intn(17) - 8
-		if depth < 0 {
-			depth = 0
-		}
-		f := testKey(rng.Intn(40))
-		tw.Insert(f, ts)
-		qm.Observe(f, depth)
-	}
-	return &Record{Port: 3, FreezeTime: ts + 1, PrevFreeze: 1000,
-		TW: tw.Snapshot(), QM: []*qmonitor.Snapshot{qm.Snapshot()}}
 }

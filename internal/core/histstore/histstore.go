@@ -280,10 +280,8 @@ func (s *Store) Append(rec *Record) error {
 // into the active segment, fn (if non-nil) is invoked — still under the
 // store lock — with the encoded payload. The checkpoint stream publishes
 // through this hook so subscribers reuse the bytes the log write already
-// produced: EncodeRecord builds a per-call flow dictionary, so a second
-// encode for the stream would put an allocation back on the snapshotter
-// path. fn must copy whatever it keeps; the buffer is reused by the next
-// append.
+// produced instead of paying for a second encode on the snapshotter path.
+// fn must copy whatever it keeps; the buffer is reused by the next append.
 func (s *Store) AppendWith(rec *Record, fn func(payload []byte)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

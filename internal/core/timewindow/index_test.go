@@ -206,3 +206,87 @@ func TestQueryWithoutCoefficientsCached(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexAscendingByStart pins the order buildIndex emits without
+// sorting: for random configs and traces — idle gaps that leave stale
+// cells, histories short enough to truncate the anchor chain at t=0 —
+// every window's index lists exactly its surviving cells, strictly
+// ascending by span start.
+func TestIndexAscendingByStart(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 17))
+	truncated := 0
+	for trial := 0; trial < 200; trial++ {
+		cfg := Config{
+			M0:              uint(rng.IntN(4)),
+			K:               uint(1 + rng.IntN(6)),
+			Alpha:           uint(1 + rng.IntN(3)),
+			T:               1 + rng.IntN(5),
+			MinPktTxDelayNs: 1.25,
+		}
+		w, err := New(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := rng.IntN(2000)
+		maxStep := 1 + rng.IntN(400)
+		if trial%3 == 0 {
+			// Short history: the whole trace fits in window 0's first
+			// cycle or two, so deeper windows are cut off at t=0.
+			n, maxStep = rng.IntN(8), 1+int(cfg.CellPeriod(0))
+		}
+		var ts uint64
+		for i := 0; i < n; i++ {
+			ts += uint64(rng.IntN(maxStep))
+			if rng.IntN(50) == 0 {
+				ts += cfg.WindowPeriod(rng.IntN(cfg.T)) // idle gap
+			}
+			w.Insert(fkey(uint32(rng.IntN(30))), ts)
+		}
+		f := w.Snapshot().Filter()
+		if !f.Empty() && cfg.T > 1 && f.anchorTTS[0] < uint64(cfg.Cells()) {
+			truncated++
+		}
+		surviving := f.SurvivingCells()
+		for i, refs := range f.index {
+			if len(refs) != surviving[i] {
+				t.Fatalf("trial %d cfg %+v window %d: index holds %d cells, %d survive",
+					trial, cfg, i, len(refs), surviving[i])
+			}
+			for j := 1; j < len(refs); j++ {
+				if refs[j-1].start >= refs[j].start {
+					t.Fatalf("trial %d cfg %+v window %d: start[%d]=%d >= start[%d]=%d",
+						trial, cfg, i, j-1, refs[j-1].start, j, refs[j].start)
+				}
+			}
+		}
+	}
+	if truncated == 0 {
+		t.Fatal("no trial truncated the anchor chain at t=0")
+	}
+}
+
+var filteredSink *Filtered
+
+// BenchmarkSnapshotFilter times Algorithm 3 plus the cell-index build on a
+// full paper-scale UW-like snapshot (m0=6 k=12 alpha=2 T=4, ~80 ns mean
+// packet spacing, enough packets to wrap every window) — the filter share
+// of a data-plane query freeze.
+func BenchmarkSnapshotFilter(b *testing.B) {
+	cfg := Config{M0: 6, K: 12, Alpha: 2, T: 4, MinPktTxDelayNs: 80}
+	w, err := New(cfg, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	var ts uint64
+	for i := 0; i < 400000; i++ {
+		ts += uint64(1 + rng.IntN(160))
+		w.Insert(fkey(uint32(rng.IntN(2000))), ts)
+	}
+	s := w.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		filteredSink = s.Filter()
+	}
+}

@@ -157,6 +157,7 @@ func (s *Snapshot) Filter() *Filtered {
 		return f
 	}
 	cells := uint64(s.cfg.Cells())
+	kept := 0
 	for i := 0; i < s.cfg.T; i++ {
 		cid, idx := s.cfg.Split(tts)
 		f.anchorTTS[i] = tts
@@ -168,9 +169,11 @@ func (s *Snapshot) Filter() *Filtered {
 			if j <= idx {
 				if c.CycleID == cid {
 					w[j] = c
+					kept++
 				}
 			} else if c.CycleID+1 == cid {
 				w[j] = c
+				kept++
 			}
 		}
 		f.windows[i] = w
@@ -184,18 +187,29 @@ func (s *Snapshot) Filter() *Filtered {
 		}
 		tts = (tts - cells) >> s.cfg.Alpha
 	}
-	f.buildIndex()
+	f.buildIndex(kept)
 	return f
 }
 
-// buildIndex interns the surviving flows and sorts each window's cells by
-// span start.
-func (f *Filtered) buildIndex() {
+// buildIndex interns the surviving flows and lists each window's kept
+// cells in ascending span start, all windows sharing one backing array of
+// kept refs. No sort is needed: after Algorithm 3, window i holds cycle
+// cid-1 at indices idx+1..2^k-1 and cycle cid at 0..idx, where
+// (cid, idx) = Split(anchorTTS[i]). Walking the ring from idx+1 round to
+// idx therefore visits the cells in TTS order, and a span start is the TTS
+// shifted left by the window's cell-period exponent. Windows cut off by a
+// truncated anchor chain hold no valid cells, so their walk emits nothing.
+func (f *Filtered) buildIndex(kept int) {
 	ids := make(map[flow.Key]int32, 64)
 	f.index = make([][]cellRef, f.cfg.T)
-	for i := range f.windows {
-		var refs []cellRef
-		for j, c := range f.windows[i] {
+	refs := make([]cellRef, 0, kept)
+	for i, w := range f.windows {
+		_, idx := f.cfg.Split(f.anchorTTS[i])
+		mask := len(w) - 1
+		first := len(refs)
+		for n := range w {
+			j := (idx + 1 + n) & mask
+			c := &w[j]
 			if !c.Valid {
 				continue
 			}
@@ -208,10 +222,7 @@ func (f *Filtered) buildIndex() {
 			}
 			refs = append(refs, cellRef{start: lo, flow: id})
 		}
-		// Span starts are unique within a window (each surviving cell has a
-		// distinct TTS), so the order is total.
-		sort.Slice(refs, func(a, b int) bool { return refs[a].start < refs[b].start })
-		f.index[i] = refs
+		f.index[i] = refs[first:len(refs):len(refs)]
 	}
 }
 
